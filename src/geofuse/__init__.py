@@ -9,7 +9,6 @@ convolutional forecaster on the fused panel.
 from .config import PipelineConfig, load_config, parse_config_text
 from .errors import (
     ConfigError,
-    ConvergenceError,
     FusionError,
     GeofuseError,
     GraphError,
@@ -36,7 +35,6 @@ from .graph import (
     WeightedAdjacency,
     build_adjacency,
     normalized_laplacian,
-    power_iteration,
     renormalized_adjacency,
     scaled_laplacian,
 )

@@ -59,6 +59,7 @@ from .stgcn import (
     StgcnModel,
     TrainConfig,
     load_model,
+    operator_kind,
     predict_batch,
     save_model,
     train,
@@ -152,11 +153,9 @@ def _adjacency_from_stations(stations, sigma, metric: str):
 
 def _operator(matrix: np.ndarray, graph_mode: str):
     with _phase(EXIT_GRAPH):
-        if graph_mode == "first_order":
-            return renormalized_adjacency(matrix)
-        if graph_mode == "chebyshev":
+        if operator_kind(graph_mode) == "scaled_laplacian":
             return scaled_laplacian(matrix)
-        raise ConfigError(f"unknown graph_mode {graph_mode!r}")
+        return renormalized_adjacency(matrix)
 
 
 def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):

@@ -39,10 +39,6 @@ class GraphError(GeofuseError):
     """Graph construction or spectral estimation failed."""
 
 
-class ConvergenceError(GraphError):
-    """An iterative routine hit its iteration cap before converging."""
-
-
 class ShapeError(GeofuseError):
     """Tensor operands have incompatible shapes for the requested op."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy import linalg
 
 from .errors import FusionError, SingularSystemError, ValidationError
 from .ingest import ObservationPanel, Station
@@ -149,14 +149,18 @@ def solve_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValidationError(f"coefficient matrix must be square, got {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValidationError(f"rhs shape {b.shape} does not match matrix {a.shape}")
+    return _solve_refined(_factor(a), a, b)
+
+
+def _factor(a: np.ndarray):
+    """Lower Cholesky factor of A, or SingularSystemError if A is not SPD."""
     try:
-        factor = cho_factor(a, lower=True)
-    except LinAlgError as exc:
+        return linalg.cho_factor(a, lower=True)
+    except linalg.LinAlgError as exc:
         raise SingularSystemError(
             "coefficient matrix is singular or not positive definite; "
             "duplicate source locations are the usual cause, and a positive "
             "ridge regularizes near-duplicates") from exc
-    return _solve_refined(factor, a, b)
 
 
 def _solve_refined(factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,12 +172,12 @@ def _solve_refined(factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # once it hits the floor or stops helping; the bound stays the pass/fail
     # line for declaring the system solvable.
     floor = 1e4 * np.finfo(np.float64).eps * scale
-    best_w = cho_solve(factor, b)
+    best_w = linalg.cho_solve(factor, b)
     best_r = float(np.max(np.abs(b - a @ best_w), initial=0.0))
     for _ in range(4):
         if best_r <= floor:
             break
-        w = best_w + cho_solve(factor, b - a @ best_w)
+        w = best_w + linalg.cho_solve(factor, b - a @ best_w)
         r = float(np.max(np.abs(b - a @ w), initial=0.0))
         if r >= best_r:
             break
@@ -261,47 +265,19 @@ def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
                    timestamp=None) -> np.ndarray:
     """Fuse one (S, K) slice: keep available native readings, interpolate the rest.
 
-    The kernel shape for target k is resolved from the geometry of all of
-    k's native stations, so it does not drift when some of them drop out for
-    an hour. Raises FusionError when a target has no available source.
+    This is ``fuse_panel`` on a one-hour panel, so the kernel shape for
+    target k comes from the geometry of all of k's native stations and does
+    not drift when some of them drop out for an hour. Raises FusionError
+    when no station has a reading of some target.
     """
-    config = config or RbfConfig()
-    config.validate()
     panel_slice = np.asarray(panel_slice, dtype=np.float64)
     n_stations, n_targets = len(stations), len(target_ids)
     if panel_slice.shape != (n_stations, n_targets):
         raise ValidationError(
             f"slice shape {panel_slice.shape} does not match ({n_stations}, {n_targets})")
-
-    coords = _station_coords(stations)
-    native = np.zeros((n_stations, n_targets), dtype=bool)
-    k_index = {t: i for i, t in enumerate(target_ids)}
-    for s, st in enumerate(stations):
-        for t in st.targets:
-            if t in k_index:
-                native[s, k_index[t]] = True
-
-    fused = panel_slice.copy()
-    for k, tid in enumerate(target_ids):
-        available = native[:, k] & ~np.isnan(panel_slice[:, k])
-        if not available.any():
-            when = f" at {timestamp}" if timestamp is not None else ""
-            raise FusionError(f"target {tid!r} has no available source station{when}")
-        fill = ~available
-        if not fill.any():
-            continue
-        c_k = _target_shape_c(coords, native[:, k], config)
-        interp = build_interpolant(
-            coords[available], panel_slice[available, k], replace(config, shape_c=c_k))
-        fused[fill, k] = evaluate_interpolant(interp, coords[fill])
-    return fused
-
-
-def _target_shape_c(coords: np.ndarray, native_k: np.ndarray, config: RbfConfig) -> float:
-    if config.shape_c is not None:
-        return config.shape_c
-    dists = pairwise_distances(coords[native_k], config.distance_metric)
-    return resolve_shape_c(dists, config)
+    panel = ObservationPanel([timestamp], list(stations), list(target_ids),
+                             panel_slice[np.newaxis])
+    return fuse_panel(panel, config).values[0]
 
 
 class _StepSolver:
@@ -314,13 +290,7 @@ class _StepSolver:
         src = coords[available]
         dists = pairwise_distances(src, config.distance_metric)
         self.a = assemble_coefficient_matrix(dists, replace(config, shape_c=shape_c))
-        try:
-            self.factor = cho_factor(self.a, lower=True)
-        except LinAlgError as exc:
-            raise SingularSystemError(
-                "coefficient matrix is singular or not positive definite; "
-                "duplicate source locations are the usual cause, and a positive "
-                "ridge regularizes near-duplicates") from exc
+        self.factor = _factor(self.a)
         self.basis = gaussian_rbf(
             cross_distances(coords[self.queries], src, config.distance_metric), shape_c)
 
@@ -342,7 +312,8 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     coords = _station_coords(panel.stations)
     native = panel.native_mask()
     shape_cs = [
-        _target_shape_c(coords, native[:, k], config) for k in range(n_targets)
+        resolve_shape_c(pairwise_distances(coords[native[:, k]], config.distance_metric), config)
+        for k in range(n_targets)
     ]
 
     values = panel.values.copy()
@@ -352,9 +323,9 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
         for k in range(n_targets):
             available = native[:, k] & ~np.isnan(panel.values[t, :, k])
             if not available.any():
+                when = "" if panel.timestamps[t] is None else f" at {panel.timestamps[t]}"
                 raise FusionError(
-                    f"target {panel.target_ids[k]!r} has no available source "
-                    f"station at {panel.timestamps[t]}")
+                    f"target {panel.target_ids[k]!r} has no available source station{when}")
             raw_mask[t, :, k] = available
             if available.all():
                 continue

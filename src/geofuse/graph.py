@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GraphError, ValidationError
-
-POWER_ITERATION_TOL = 1e-8
-POWER_ITERATION_CAP = 10_000
-# A Laplacian this close to zero has no usable top eigenvalue; 2 is the
-# worst-case upper bound for a normalized Laplacian and keeps the scaled
-# operator well defined.
-_NEAR_ZERO_LAMBDA = 1e-8
+from .errors import GraphError, ValidationError
 
 
 @dataclass
@@ -112,46 +105,17 @@ def renormalized_adjacency(adj) -> GraphOperator:
     return GraphOperator("renormalized_adjacency", (m + m.T) / 2.0)
 
 
-def power_iteration(matrix: np.ndarray, tol: float = POWER_ITERATION_TOL,
-                    max_iter: int = POWER_ITERATION_CAP) -> float:
-    """Dominant eigenvalue of a symmetric PSD matrix.
-
-    Deterministic: the start vector comes from a fixed seed. Convergence
-    requires both the Rayleigh quotient to settle and the eigen-residual
-    ||M v - lambda v|| to drop below tol (relative to max(1, lambda)).
-    """
-    m = _check_square(matrix, "matrix")
-    n = m.shape[0]
-    if n == 0:
-        raise ValidationError("matrix is empty")
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0  # v is in the null space; for PSD input the matrix is ~0
-        v = w / norm_w
-        mv = m @ v
-        lam = float(v @ mv)
-        scale = max(1.0, abs(lam))
-        if np.linalg.norm(mv - lam * v) <= tol * scale:
-            return lam
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations")
-
-
 def scaled_laplacian(adj) -> GraphOperator:
     """2 L / lambda_max - I, spectrum in [-1, 1].
 
-    When the Laplacian is (near) zero, lambda_max falls back to 2 so the
-    operator degrades to -I instead of dividing by zero.
+    lambda_max is the top eigenvalue from the dense symmetric eigensolver.
+    L has a unit diagonal, so its trace is n and lambda_max >= 1: the
+    division is always defined.
     """
     lap = normalized_laplacian(adj)
-    lam = power_iteration(lap)
-    if lam < _NEAR_ZERO_LAMBDA:
-        lam = 2.0
+    if lap.shape[0] == 0:
+        raise ValidationError("graph has no nodes")
+    lam = float(np.linalg.eigvalsh(lap)[-1])
     m = 2.0 * lap / lam - np.eye(lap.shape[0])
     return GraphOperator("scaled_laplacian", (m + m.T) / 2.0)
 

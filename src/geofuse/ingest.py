@@ -59,14 +59,17 @@ class ObservationPanel:
         for a, b in zip(self.timestamps, self.timestamps[1:]):
             if b - a != HOUR:
                 raise ValidationError(f"panel grid breaks at {a} -> {b}, expected 1h steps")
+        if np.isinf(self.values).any():
+            raise ValidationError("panel values contain infinite entries")
 
     def native_mask(self) -> np.ndarray:
-        """(S, K) bool: station s natively measures target k."""
+        """(S, K) bool: station s natively measures target k of ``target_ids``."""
         mask = np.zeros((len(self.stations), len(self.target_ids)), dtype=bool)
         index = {t: i for i, t in enumerate(self.target_ids)}
         for s, st in enumerate(self.stations):
             for t in st.targets:
-                mask[s, index[t]] = True
+                if t in index:
+                    mask[s, index[t]] = True
         return mask
 
 
@@ -137,8 +140,9 @@ def load_observations(path, stations: list[Station]) -> ObservationPanel:
 
     The time axis spans every hour from the earliest to the latest timestamp
     seen, so gaps become NaN rows rather than silently shrinking the grid.
-    An empty value field marks a missing observation. When a cell appears
-    twice the later row wins.
+    An empty value field is the only missing-value marker: ``nan``, ``inf``
+    and literals that overflow a float are rejected with a ParseError. When
+    a cell appears twice the later row wins.
     """
     station_index = {st.id: i for i, st in enumerate(stations)}
     targets = target_order(stations)
@@ -165,6 +169,8 @@ def load_observations(path, stations: list[Station]) -> ObservationPanel:
                 value = float(raw_val)
             except ValueError:
                 raise ParseError(f"bad value {raw_val!r}", line=line)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {raw_val!r}", line=line)
         records.append((ts, station_index[sid], k_index[tid], value))
 
     if not records:

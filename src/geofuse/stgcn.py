@@ -60,10 +60,7 @@ class ModelConfig:
             raise ConfigError(f"channels must be three positive ints, got {self.channels}")
         if self.time_kernel < 1:
             raise ConfigError(f"time_kernel must be >= 1, got {self.time_kernel}")
-        if self.graph_mode not in _MODE_TO_OPERATOR:
-            raise ConfigError(
-                f"graph_mode must be one of {tuple(_MODE_TO_OPERATOR)}, "
-                f"got {self.graph_mode!r}")
+        operator_kind(self.graph_mode)  # rejects an unknown mode
         if self.graph_mode == "first_order" and self.graph_kernel != 1:
             raise ConfigError("first_order mode uses graph_kernel=1")
         if self.graph_kernel < 1:
@@ -80,8 +77,13 @@ class ModelConfig:
     def head_time_steps(self) -> int:
         return self.history_steps - 4 * (self.time_kernel - 1)
 
-    def operator_kind(self) -> str:
-        return _MODE_TO_OPERATOR[self.graph_mode]
+
+def operator_kind(graph_mode: str) -> str:
+    """Kind of the GraphOperator a model in ``graph_mode`` consumes."""
+    if graph_mode not in _MODE_TO_OPERATOR:
+        raise ConfigError(
+            f"graph_mode must be one of {tuple(_MODE_TO_OPERATOR)}, got {graph_mode!r}")
+    return _MODE_TO_OPERATOR[graph_mode]
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
@@ -205,10 +207,11 @@ class StgcnModel:
         return out
 
     def _check_operator(self, op: GraphOperator) -> None:
-        if op.kind != self.config.operator_kind():
+        kind = operator_kind(self.config.graph_mode)
+        if op.kind != kind:
             raise ValidationError(
                 f"model in {self.config.graph_mode!r} mode needs a "
-                f"{self.config.operator_kind()} operator, got {op.kind!r}")
+                f"{kind} operator, got {op.kind!r}")
         n = self.config.n_nodes
         if op.matrix.shape != (n, n):
             raise ShapeError(
@@ -356,6 +359,9 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
             best_epoch = epoch
             best_state = {name: p.data.copy() for name, p in params.items()}
 
+    if not best_state:
+        raise TrainingError(
+            "no epoch produced a finite validation loss; nothing to restore")
     for name, p in params.items():
         p.data[...] = best_state[name]
     return TrainResult(history, best_epoch, float(best_val))

@@ -9,6 +9,7 @@ once; building the next step's graph requires a fresh tape.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ShapeError, TapeError
 
@@ -230,13 +231,7 @@ def left_multiply(matrix: np.ndarray, x, axis: int = -3) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    # Split by sign so exp never overflows.
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ep = np.exp(d[~pos])
-    out[~pos] = ep / (1.0 + ep)
+    out = expit(x.data)
 
     def backward_fn(g):
         return (g * out * (1.0 - out),)

@@ -143,6 +143,14 @@ def test_config_errors_exit_2(pipeline, tmp_path, capsys):
     assert code == 2
     assert "predicted_target" in capsys.readouterr().err
 
+    bad_mode = tmp_path / "bad_mode.cfg"
+    bad_mode.write_text("predicted_target = t02\ngraph_mode = spline\n")
+    code = main(["train", "--fused", str(pipeline["fused"]),
+                 "--adjacency", str(pipeline["adjacency"]),
+                 "--config", str(bad_mode), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "graph_mode" in capsys.readouterr().err
+
 
 def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
     code = main(["fuse", "--stations", str(tmp_path / "nowhere.csv"),
@@ -160,6 +168,14 @@ def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
                  "--observations", str(obs), "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert "ghost" in capsys.readouterr().err
+
+    for value in ("inf", "nan"):
+        obs.write_text("timestamp,station_id,target_id,value\n"
+                       f"2020-01-01T00:00,a,t1,{value}\n")
+        code = main(["fuse", "--stations", str(stations),
+                     "--observations", str(obs), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "line 2: non-finite value" in capsys.readouterr().err
 
 
 def test_fusion_errors_exit_4(tmp_path, capsys):

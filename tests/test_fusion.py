@@ -170,6 +170,9 @@ def test_fuse_time_step_no_source_errors():
     panel_slice = np.array([[np.nan, np.nan], [np.nan, 1.0]])
     with pytest.raises(FusionError, match="t1"):
         fuse_time_step(panel_slice, stations, ["t1", "t2"], RbfConfig(shape_c=1.0))
+    with pytest.raises(ValidationError, match="infinite"):
+        fuse_time_step(np.array([[np.inf, np.nan], [np.nan, 1.0]]), stations,
+                       ["t1", "t2"], RbfConfig(shape_c=1.0))
 
 
 def _toy_panel(t_total=6, missing=()):

@@ -5,11 +5,11 @@ import pytest
 
 from geofuse.errors import ValidationError
 from geofuse.fusion import pairwise_distances
+from geofuse.synth import SynthConfig, generate
 from geofuse.graph import (
     GraphOperator,
     build_adjacency,
     normalized_laplacian,
-    power_iteration,
     renormalized_adjacency,
     scaled_laplacian,
     spectral_radius_bound,
@@ -106,20 +106,6 @@ def test_renormalized_adjacency_spectrum_in_unit_interval():
         assert eig.min() >= -1.0 - 1e-10
 
 
-def test_power_iteration_matches_dense_eigensolver():
-    rng = np.random.default_rng(74)
-    for _ in range(15):
-        n = int(rng.integers(2, 15))
-        lap = normalized_laplacian(build_adjacency(random_geometry(rng, n)))
-        lam = power_iteration(lap)
-        top = float(np.linalg.eigvalsh(lap)[-1])
-        assert lam == pytest.approx(top, rel=1e-6, abs=1e-8)
-
-
-def test_power_iteration_zero_matrix():
-    assert power_iteration(np.zeros((4, 4))) == 0.0
-
-
 def test_scaled_laplacian_spectrum():
     rng = np.random.default_rng(75)
     for _ in range(10):
@@ -132,6 +118,16 @@ def test_scaled_laplacian_spectrum():
         assert spectral_radius_bound(op) <= 1.0 + 1e-9
         # The Laplacian's top eigenvector maps to scaled eigenvalue exactly 1.
         assert eig.max() == pytest.approx(1.0, abs=1e-7)
+
+
+def test_scaled_laplacian_on_sixty_station_geometry():
+    # A geometry on which an iterative lambda_max estimate failed to converge.
+    scenario = generate(SynthConfig(seed=106, stations_per_source=(20, 20, 20)))
+    coords = np.array([[st.x, st.y] for st in scenario.stations])
+    op = scaled_laplacian(build_adjacency(pairwise_distances(coords)))
+    eig = np.linalg.eigvalsh(op.matrix)
+    assert eig.min() >= -1.0 - 1e-9
+    assert eig.max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_node_graph_operators():

@@ -109,6 +109,9 @@ def test_load_observations_errors(tmp_path):
         attempt("yesterday,s1,pm25,1.0\n")
     with pytest.raises(ParseError, match="bad value"):
         attempt("2017-01-01T00:00,s1,pm25,ten\n")
+    for value in ("inf", "nan", "1e999"):
+        with pytest.raises(ParseError, match="line 2: non-finite value"):
+            attempt(f"2017-01-01T00:00,s1,pm25,{value}\n")
     with pytest.raises(ValidationError, match="no observations"):
         attempt("")
 

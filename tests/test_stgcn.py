@@ -220,6 +220,10 @@ def test_train_config_errors():
     tiny.n_val = 0  # force an empty validation split
     with pytest.raises(TrainingError, match="validation"):
         train(model, tiny, cheb, TrainConfig(epochs=1))
+    lo, hi = ds.bounds("val")
+    ds.targets[lo:hi] = np.nan  # every validation loss is NaN: no best epoch
+    with pytest.raises(TrainingError, match="finite validation loss"):
+        train(model, ds, cheb, TrainConfig(epochs=2))
 
 
 class _PersistenceStub:

@@ -61,5 +61,5 @@ for epoch in range(400):
 final = gt.add(gt.matmul(gt.sigmoid(gt.add(gt.matmul(xt, w1), b1)), w2), b2)
 residual = np.abs(final.data - y)
 print(f"max residual over the grid: {residual.max():.4f}")
-print("The tape frees intermediate nodes when the context exits, so memory")
+print("backward() releases each tape record as it walks past it, so memory")
 print("stays flat across epochs.")

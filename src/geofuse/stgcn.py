@@ -93,7 +93,12 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 class TemporalGatedConv:
-    """(..., T, c_in) -> (..., T - f + 1, c_out), GLU-gated."""
+    """(..., T, c_in) -> (..., T - f + 1, c_out), GLU-gated.
+
+    The forward pass is a single ``gated_conv1d_time`` tape op: one im2col
+    matmul against the (f, c_in, 2 c_out) kernel, whose first c_out output
+    columns are the linear half and the rest the sigmoid gate.
+    """
 
     def __init__(self, f: int, c_in: int, c_out: int, rng: np.random.Generator):
         self.f, self.c_in, self.c_out = f, c_in, c_out
@@ -104,11 +109,7 @@ class TemporalGatedConv:
         self.bias_gate = Tensor(np.zeros(c_out), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        full = tz.conv1d_time(x, self.kernel)
-        lin = tz.add(tz.slice_axis(full, -1, 0, self.c_out), self.bias_lin)
-        gate = tz.sigmoid(
-            tz.add(tz.slice_axis(full, -1, self.c_out, 2 * self.c_out), self.bias_gate))
-        return tz.multiply_elementwise(lin, gate)
+        return tz.gated_conv1d_time(x, self.kernel, self.bias_lin, self.bias_gate)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"kernel": self.kernel, "bias_lin": self.bias_lin,

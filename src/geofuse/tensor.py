@@ -2,13 +2,17 @@
 
 Ops record onto the innermost active ``Tape`` (a context manager). ``backward``
 seeds a scalar loss with gradient 1.0 and walks the tape in reverse, summing
-gradients where a value fans out into several consumers. A tape can be walked
-once; building the next step's graph requires a fresh tape.
+gradients where a value fans out into several consumers. It releases each
+record as it walks past it, so an intermediate value and its gradient are
+freed as soon as nothing later needs them and no step's graph outlives its
+backward pass. A tape can be walked once; building the next step's graph
+requires a fresh tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import ShapeError, TapeError
@@ -337,39 +341,94 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return multiply_elementwise(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
+def _check_conv(op: str, x: Tensor, kernel: Tensor) -> None:
+    if kernel.ndim != 3:
+        raise ShapeError(f"{op}: kernel must be (f, C_in, C_out), got {kernel.shape}")
+    if x.ndim < 2 or x.shape[-1] != kernel.shape[1]:
+        raise ShapeError(f"{op}: input {x.shape} does not match kernel {kernel.shape}")
+    if x.shape[-2] < kernel.shape[0]:
+        raise ShapeError(
+            f"{op}: time axis {x.shape[-2]} shorter than kernel {kernel.shape[0]}")
+
+
+def _im2col(x: np.ndarray, f: int) -> np.ndarray:
+    """(..., T, C) -> (N (T - f + 1), f C), N the product of the leading dims.
+
+    Each row holds f consecutive time steps back to back, matching the row
+    order of a (f, C, C_out) kernel reshaped to (f C, C_out).
+    """
+    windows = sliding_window_view(x, f, axis=-2)          # (..., T-f+1, C, f)
+    return np.swapaxes(windows, -1, -2).reshape(-1, f * x.shape[-1])
+
+
+def _conv_forward(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    f, c_in, c_out = kernel.shape
+    out = _im2col(x, f) @ kernel.reshape(f * c_in, c_out)
+    return out.reshape(x.shape[:-2] + (x.shape[-2] - f + 1, c_out))
+
+
+def _conv_backward(x: np.ndarray, kernel: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``_conv_forward`` for input and kernel given output grad ``g``."""
+    f, c_in, c_out = kernel.shape
+    t_out = g.shape[-2]
+    g2 = g.reshape(-1, c_out)
+    gk = (_im2col(x, f).T @ g2).reshape(kernel.shape)
+    gcols = (g2 @ kernel.reshape(f * c_in, c_out).T).reshape(g.shape[:-1] + (f, c_in))
+    gx = np.zeros_like(x)
+    for d in range(f):
+        gx[..., d:d + t_out, :] += gcols[..., d, :]
+    return gx, gk
+
+
 def conv1d_time(x, kernel) -> Tensor:
     """Valid 1-D convolution along the second-to-last axis.
 
     ``x``: (..., T, C_in), ``kernel``: (f, C_in, C_out) -> (..., T-f+1, C_out).
-    Implemented as a sum of shifted matmuls; f is small (2..4) in practice.
+    Computed as one im2col matmul.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if kernel.ndim != 3:
-        raise ShapeError(f"conv1d_time: kernel must be (f, C_in, C_out), got {kernel.shape}")
-    if x.ndim < 2 or x.shape[-1] != kernel.shape[1]:
-        raise ShapeError(f"conv1d_time: input {x.shape} does not match kernel {kernel.shape}")
-    f = kernel.shape[0]
-    t_in = x.shape[-2]
-    if t_in < f:
-        raise ShapeError(f"conv1d_time: time axis {t_in} shorter than kernel {f}")
-    t_out = t_in - f + 1
-    c_out = kernel.shape[2]
-
-    data = np.zeros(x.shape[:-2] + (t_out, c_out), dtype=np.float64)
-    for d in range(f):
-        data += x.data[..., d:d + t_out, :] @ kernel.data[d]
+    _check_conv("conv1d_time", x, kernel)
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gk = np.zeros_like(kernel.data)
-        g2 = g.reshape(-1, c_out)
-        for d in range(f):
-            gx[..., d:d + t_out, :] += g @ kernel.data[d].T
-            window = x.data[..., d:d + t_out, :].reshape(-1, x.shape[-1])
-            gk[d] = window.T @ g2
-        return gx, gk
+        return _conv_backward(x.data, kernel.data, g)
 
-    return _make_output(data, (x, kernel), backward_fn)
+    return _make_output(_conv_forward(x.data, kernel.data), (x, kernel), backward_fn)
+
+
+def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
+    """GLU-gated valid convolution along the time axis, recorded as one op.
+
+    ``kernel``: (f, C_in, 2 C_out). With ``full = conv1d_time(x, kernel)`` the
+    result is ``(full[..., :C_out] + bias_lin) * sigmoid(full[..., C_out:] +
+    bias_gate)``, shape (..., T-f+1, C_out), and the gradients of all four
+    inputs come from one hand-written vector-Jacobian product.
+    """
+    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    bias_lin, bias_gate = _as_tensor(bias_lin), _as_tensor(bias_gate)
+    _check_conv("gated_conv1d_time", x, kernel)
+    width = kernel.shape[2]
+    if width % 2:
+        raise ShapeError(
+            f"gated_conv1d_time: kernel output width {width} is odd; "
+            "need a linear half and a gate half")
+    c_out = width // 2
+    if bias_lin.shape != (c_out,) or bias_gate.shape != (c_out,):
+        raise ShapeError(
+            f"gated_conv1d_time: biases {bias_lin.shape} and {bias_gate.shape} "
+            f"must both be ({c_out},)")
+    full = _conv_forward(x.data, kernel.data)
+    lin = full[..., :c_out] + bias_lin.data
+    gate = expit(full[..., c_out:] + bias_gate.data)
+
+    def backward_fn(g):
+        g_lin = g * gate
+        g_gate = g * lin * gate * (1.0 - gate)
+        gx, gk = _conv_backward(x.data, kernel.data,
+                                np.concatenate([g_lin, g_gate], axis=-1))
+        return gx, gk, _unbroadcast(g_lin, (c_out,)), _unbroadcast(g_gate, (c_out,))
+
+    return _make_output(lin * gate, (x, kernel, bias_lin, bias_gate), backward_fn)
 
 
 def dropout(x, rate: float, training: bool, rng) -> Tensor:
@@ -400,7 +459,11 @@ def backward(loss: Tensor) -> None:
     tape._spent = True
 
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(tape._records):
+    # Popping each record drops the tape's hold on its output, inputs and
+    # closure; the output's own ``_tape`` link no longer forms a cycle.
+    records, tape._records = tape._records, []
+    while records:
+        out, inputs, backward_fn = records.pop()
         g = out.grad
         if g is None:
             continue

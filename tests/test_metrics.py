@@ -136,6 +136,20 @@ def test_kde_recovers_normal_density():
     assert np.max(np.abs(density - true_density)) < 0.05
 
 
+def test_kde_blocked_sum_equals_dense_formula():
+    # n = 20,000 spans several grid blocks; n = 3 fits in one.
+    rng = np.random.default_rng(7)
+    for n in (20_000, 3):
+        v = rng.normal(size=n)
+        grid = np.linspace(-4.0, 4.0, 256)
+        h = 0.3
+        z = (grid[:, None] - v[None, :]) / h
+        dense = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * np.sqrt(2.0 * np.pi))
+        got_grid, density = kde(v, grid, h)
+        assert np.array_equal(got_grid, grid)
+        assert np.array_equal(density, dense)
+
+
 def test_kde_l1_distance_limits():
     rng = np.random.default_rng(5)
     a = rng.normal(size=500)

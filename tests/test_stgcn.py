@@ -1,5 +1,7 @@
 """Model shape algebra, gradient flow, training behavior, and rollout."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from geofuse.errors import ConfigError, ShapeError, TrainingError, ValidationErr
 from geofuse.fusion import pairwise_distances
 from geofuse.graph import build_adjacency, renormalized_adjacency, scaled_laplacian
 from geofuse.ingest import make_windows
+from geofuse.optim import Adam
 from geofuse.stgcn import (
     GraphConv,
     ModelConfig,
@@ -152,6 +155,34 @@ def test_full_model_gradients_match_finite_differences():
             scale = max(1.0, abs(numeric))
             assert abs(gflat[i] - numeric) <= 1e-4 * scale, (
                 f"{name}[{i}]: analytic {gflat[i]} vs numeric {numeric}")
+
+
+def test_training_steps_leave_no_tensors_behind():
+    # With the cyclic collector off, only reference counting frees a step's
+    # graph; the live Tensor count must not grow from step to step.
+    model = StgcnModel(tiny_config(), seed=15)
+    cheb, _ = operators(3, seed=16)
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(4, 6, 3, 2))
+    y = rng.normal(size=(4, 3, 1))
+    opt = Adam(list(model.parameters().values()), lr=1e-3)
+
+    def live_tensors() -> int:
+        return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+    gc.disable()
+    try:
+        counts = {}
+        for step in range(1, 21):
+            with gt.Tape():
+                loss = l2_loss(model.forward(x, cheb), y)
+            gt.backward(loss)
+            opt.step()
+            opt.zero_grad()
+            counts[step] = live_tensors()
+    finally:
+        gc.enable()
+    assert counts[20] == counts[2], counts
 
 
 def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2):

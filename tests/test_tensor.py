@@ -182,6 +182,53 @@ def test_conv1d_time_shapes_and_values():
     assert gt.conv1d_time(gt.Tensor(x), gt.Tensor(k3)).shape == (5, 2, 3)
 
 
+def test_gated_conv1d_time_grads():
+    rng = np.random.default_rng(45)
+    x = gt.Tensor(rng.standard_normal((2, 3, 7, 3)), requires_grad=True)  # (B, S, T, C)
+    k = gt.Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
+    b_lin = gt.Tensor(rng.standard_normal(2), requires_grad=True)
+    b_gate = gt.Tensor(rng.standard_normal(2), requires_grad=True)
+    assert_grads_match(
+        lambda: projected(gt.gated_conv1d_time(x, k, b_lin, b_gate),
+                          np.random.default_rng(46)), [x, k, b_lin, b_gate])
+
+
+def composed_gated_conv(x, k, b_lin, b_gate):
+    """The gated conv spelled out in primitive ops: the reference the fused op must match."""
+    c = k.shape[2] // 2
+    full = gt.conv1d_time(x, k)
+    lin = gt.add(gt.slice_axis(full, -1, 0, c), b_lin)
+    gate = gt.sigmoid(gt.add(gt.slice_axis(full, -1, c, 2 * c), b_gate))
+    return gt.multiply_elementwise(lin, gate)
+
+
+def test_gated_conv1d_time_matches_composed_ops():
+    rng = np.random.default_rng(47)
+    shapes = [(4, 5, 12, 3), (9, 2)]
+    for x_shape, f in zip(shapes, (3, 4)):
+        c_in, c_out = x_shape[-1], 5
+        x = gt.Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        k = gt.Tensor(rng.standard_normal((f, c_in, 2 * c_out)), requires_grad=True)
+        b_lin = gt.Tensor(rng.standard_normal(c_out), requires_grad=True)
+        b_gate = gt.Tensor(rng.standard_normal(c_out), requires_grad=True)
+        params = [x, k, b_lin, b_gate]
+        results = []
+        for op in (gt.gated_conv1d_time, composed_gated_conv):
+            for p in params:
+                p.zero_grad()
+            with gt.Tape() as tape:
+                out = op(*params)
+                records = len(tape)
+                loss = projected(out, np.random.default_rng(48))
+            gt.backward(loss)
+            results.append((records, out.data, [p.grad for p in params]))
+        (fused_records, fused_out, fused_grads), (ref_records, ref_out, ref_grads) = results
+        assert (fused_records, ref_records) == (1, 7)
+        for got, want in zip([fused_out] + fused_grads, [ref_out] + ref_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_dropout_grads_with_fixed_seed():
     rng = np.random.default_rng(40)
     x = gt.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
@@ -281,6 +328,13 @@ def test_shape_errors_name_the_op():
         gt.slice_axis(a, 1, 2, 9)
     with pytest.raises(ShapeError, match="conv1d_time"):
         gt.conv1d_time(gt.Tensor(np.zeros((2, 2, 3))), gt.Tensor(np.zeros((4, 3, 1))))
+    x, bias = gt.Tensor(np.zeros((2, 5, 3))), np.zeros(2)
+    with pytest.raises(ShapeError, match="gated_conv1d_time.*odd"):
+        gt.gated_conv1d_time(x, gt.Tensor(np.zeros((2, 3, 5))), bias, bias)
+    with pytest.raises(ShapeError, match="gated_conv1d_time.*shorter"):
+        gt.gated_conv1d_time(x, gt.Tensor(np.zeros((6, 3, 4))), bias, bias)
+    with pytest.raises(ShapeError, match="gated_conv1d_time.*biases"):
+        gt.gated_conv1d_time(x, gt.Tensor(np.zeros((2, 3, 4))), np.zeros(3), bias)
 
 
 def test_operator_sugar_matches_functions():

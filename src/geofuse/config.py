@@ -1,8 +1,8 @@
 """Pipeline configuration: a flat key=value text file.
 
-Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Unknown keys are rejected so typos fail loudly instead of silently running
-with defaults.
+The file is UTF-8 text. Lines are ``key = value``; blank lines and ``#``
+comments are ignored. Unknown keys are rejected so typos fail loudly instead
+of silently running with defaults.
 """
 
 from __future__ import annotations
@@ -119,7 +119,10 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     try:
-        text = open(path).read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     return parse_config_text(text, source=str(path))

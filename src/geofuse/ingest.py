@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -83,25 +84,32 @@ def target_order(stations: list[Station]) -> list[str]:
     return order
 
 
-def _read_rows(path, expected_header: tuple[str, ...]):
+def read_csv_rows(path, expected_header: tuple[str, ...]):
+    """Yield ``(line, fields)`` per row after a checked header, one at a time.
+
+    The file must be UTF-8; bytes that do not decode are a ParseError.
+    """
     try:
-        with open(path, newline="") as fh:
-            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path} is empty", line=1)
+            if tuple(header) != expected_header:
+                raise ParseError(
+                    f"expected header {','.join(expected_header)}, got {','.join(header)}",
+                    line=1)
+            yield from enumerate(reader, start=2)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    if not rows:
-        raise ParseError(f"{path} is empty", line=1)
-    line, header = rows[0]
-    if tuple(header) != expected_header:
-        raise ParseError(
-            f"expected header {','.join(expected_header)}, got {','.join(header)}", line=line)
-    return rows[1:]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
 
 
 def load_stations(path) -> list[Station]:
     stations: list[Station] = []
     seen: set[str] = set()
-    for line, fields in _read_rows(path, STATIONS_HEADER):
+    for line, fields in read_csv_rows(path, STATIONS_HEADER):
         if not fields:
             continue
         if len(fields) != 5:
@@ -135,6 +143,17 @@ def _parse_timestamp(text: str, line: int) -> datetime:
     return ts
 
 
+def last_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of the last occurrence of each distinct key, in key order.
+
+    Numpy does not promise which of several writes to one index a
+    fancy-index assignment keeps, so a reader whose later row wins scatters
+    only these rows.
+    """
+    _, from_end = np.unique(keys[::-1], return_index=True)
+    return keys.size - 1 - from_end
+
+
 def load_observations(path, stations: list[Station]) -> ObservationPanel:
     """Read long-format observations into a dense hourly panel.
 
@@ -144,22 +163,31 @@ def load_observations(path, stations: list[Station]) -> ObservationPanel:
     and literals that overflow a float are rejected with a ParseError. When
     a cell appears twice the later row wins.
     """
-    station_index = {st.id: i for i, st in enumerate(stations)}
     targets = target_order(stations)
     k_index = {t: i for i, t in enumerate(targets)}
-    native = {st.id: set(st.targets) for st in stations}
-
-    records: list[tuple[datetime, int, int, float]] = []
-    for line, fields in _read_rows(path, OBSERVATIONS_HEADER):
+    per_hour = len(stations) * len(targets)
+    # station id -> {native target -> offset of its cell within one hour}
+    cells = {st.id: {t: s * len(targets) + k_index[t] for t in st.targets}
+             for s, st in enumerate(stations)}
+    # Each row leaves a flat cell key (hours since datetime.min * per_hour +
+    # offset) and a value; a timestamp is parsed once per distinct text.
+    hours: dict[str, int] = {}
+    keys = array("q")
+    vals = array("d")
+    for line, fields in read_csv_rows(path, OBSERVATIONS_HEADER):
         if not fields:
             continue
         if len(fields) != 4:
             raise ParseError(f"expected 4 fields, got {len(fields)}", line=line)
         raw_ts, sid, tid, raw_val = fields
-        ts = _parse_timestamp(raw_ts, line)
-        if sid not in station_index:
+        hour = hours.get(raw_ts)
+        if hour is None:
+            hour = hours[raw_ts] = (_parse_timestamp(raw_ts, line) - datetime.min) // HOUR
+        native = cells.get(sid)
+        if native is None:
             raise ValidationError(f"line {line}: unknown station_id {sid!r}")
-        if tid not in native[sid]:
+        offset = native.get(tid)
+        if offset is None:
             raise ValidationError(
                 f"line {line}: station {sid!r} does not measure target {tid!r}")
         if raw_val == "":
@@ -171,18 +199,20 @@ def load_observations(path, stations: list[Station]) -> ObservationPanel:
                 raise ParseError(f"bad value {raw_val!r}", line=line)
             if not math.isfinite(value):
                 raise ParseError(f"non-finite value {raw_val!r}", line=line)
-        records.append((ts, station_index[sid], k_index[tid], value))
+        keys.append(hour * per_hour + offset)
+        vals.append(value)
 
-    if not records:
+    if not keys:
         raise ValidationError(f"{path} contains no observations")
 
-    t0 = min(r[0] for r in records)
-    t1 = max(r[0] for r in records)
-    n_steps = int((t1 - t0) / HOUR) + 1
+    h0 = min(hours.values())
+    n_steps = max(hours.values()) - h0 + 1
     values = np.full((n_steps, len(stations), len(targets)), np.nan)
-    for ts, s, k, value in records:
-        values[int((ts - t0) / HOUR), s, k] = value
+    flat = np.array(keys) - h0 * per_hour
+    last = last_occurrences(flat)
+    values.reshape(-1)[flat[last]] = np.array(vals)[last]
 
+    t0 = datetime.min + h0 * HOUR
     panel = ObservationPanel(
         timestamps=[t0 + i * HOUR for i in range(n_steps)],
         stations=list(stations),

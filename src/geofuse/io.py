@@ -9,6 +9,7 @@ order, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+from array import array
 from datetime import datetime
 from pathlib import Path
 
@@ -16,11 +17,13 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .fusion import FusionMatrix
+from .ingest import last_occurrences, read_csv_rows
 from .metrics import ConsistencyReport
 from .stgcn import EpochStats
 
 FULL = "{:.17g}"
 SHORT = "{:.10g}"
+FUSED_HEADER = ("timestamp", "station_id", "target_id", "value", "provenance")
 
 
 def _fmt(value: float, spec: str = FULL) -> str:
@@ -31,7 +34,7 @@ def write_fused_csv(fused: FusionMatrix, path) -> None:
     """Long format: timestamp,station_id,target_id,value,provenance."""
     fused.validate()
     with open(path, "w", newline="") as fh:
-        fh.write("timestamp,station_id,target_id,value,provenance\n")
+        fh.write(",".join(FUSED_HEADER) + "\n")
         for t, ts in enumerate(fused.timestamps):
             stamp = ts.isoformat(timespec="minutes")
             for s, sid in enumerate(fused.station_ids):
@@ -42,61 +45,58 @@ def write_fused_csv(fused: FusionMatrix, path) -> None:
 
 
 def read_fused_csv(path) -> FusionMatrix:
-    """Rebuild a FusionMatrix; the file must be dense over its own index sets."""
-    rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["timestamp", "station_id", "target_id", "value", "provenance"]:
-                raise ParseError(f"{path}: unexpected fused header {header}", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 5:
-                    raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
-                rows.append((lineno, row))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    if not rows:
-        raise ValidationError(f"{path} has no data rows")
+    """Rebuild a FusionMatrix; the file must be dense over its own index sets.
 
-    timestamps: list[datetime] = []
-    stations: list[str] = []
-    targets: list[str] = []
+    Each row is checked as it is read, so an error names the first faulty
+    line. When a cell appears twice the later row wins.
+    """
+    # Index of each distinct timestamp text, station and target, in order
+    # of first appearance; a timestamp is parsed once per distinct text.
     t_index: dict[str, int] = {}
     s_index: dict[str, int] = {}
     k_index: dict[str, int] = {}
-    for lineno, (stamp, sid, tid, _, tag) in rows:
-        if stamp not in t_index:
-            t_index[stamp] = len(timestamps)
+    timestamps: list[datetime] = []
+    t_col, s_col, k_col = array("q"), array("q"), array("q")
+    vals, raw = array("d"), array("b")
+    for lineno, row in read_csv_rows(path, FUSED_HEADER):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
+        stamp, sid, tid, text, tag = row
+        t = t_index.get(stamp)
+        if t is None:
             try:
                 timestamps.append(datetime.fromisoformat(stamp))
             except ValueError:
                 raise ParseError(f"bad timestamp {stamp!r}", line=lineno)
-        if sid not in s_index:
-            s_index[sid] = len(stations)
-            stations.append(sid)
-        if tid not in k_index:
-            k_index[tid] = len(targets)
-            targets.append(tid)
+            t = t_index[stamp] = len(t_index)
         if tag not in ("raw", "fused"):
             raise ParseError(f"bad provenance {tag!r}", line=lineno)
-
-    values = np.full((len(timestamps), len(stations), len(targets)), np.nan)
-    mask = np.zeros_like(values, dtype=bool)
-    for lineno, (stamp, sid, tid, text, tag) in rows:
         try:
             value = float(text)
         except ValueError:
             raise ParseError(f"bad value {text!r}", line=lineno)
-        values[t_index[stamp], s_index[sid], k_index[tid]] = value
-        mask[t_index[stamp], s_index[sid], k_index[tid]] = tag == "raw"
+        t_col.append(t)
+        s_col.append(s_index.setdefault(sid, len(s_index)))
+        k_col.append(k_index.setdefault(tid, len(k_index)))
+        vals.append(value)
+        raw.append(tag == "raw")
+    if not vals:
+        raise ValidationError(f"{path} has no data rows")
+
+    shape = (len(timestamps), len(s_index), len(k_index))
+    flat = np.ravel_multi_index((t_col, s_col, k_col), shape)
+    last = last_occurrences(flat)
+    values = np.full(shape, np.nan)
+    mask = np.zeros(shape, dtype=bool)
+    values.reshape(-1)[flat[last]] = np.array(vals)[last]
+    mask.reshape(-1)[flat[last]] = np.array(raw, dtype=bool)[last]
 
     order = np.argsort(np.array([ts.isoformat() for ts in timestamps]))
     timestamps = [timestamps[i] for i in order]
-    values, mask = values[order], mask[order]
-    fused = FusionMatrix(timestamps, stations, targets, values, mask)
+    fused = FusionMatrix(timestamps, list(s_index), list(k_index),
+                         values[order], mask[order])
     fused.validate()
     return fused
 
@@ -114,10 +114,12 @@ def write_adjacency_csv(matrix: np.ndarray, station_ids: list[str], path) -> Non
 
 def read_adjacency_csv(path) -> tuple[list[str], np.ndarray]:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
     if not reader or reader[0][:1] != ["station_id"]:
         raise ParseError(f"{path}: expected station_id header", line=1)
     ids = reader[0][1:]

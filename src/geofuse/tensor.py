@@ -448,7 +448,14 @@ def dropout(x, rate: float, training: bool, rng) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Seed a scalar loss with gradient 1 and accumulate grads down the tape."""
+    """Seed a scalar loss with gradient 1 and accumulate grads down the tape.
+
+    The first gradient to reach an intermediate tensor is stored as is, even
+    when it is a view of another tensor's gradient; only a leaf (a tensor no
+    op produced, ``_tape is None``, such as a parameter) gets its own copy.
+    This is safe because no ``backward_fn`` writes into its ``g`` and a
+    second gradient is summed into a new array, never added in place.
+    """
     if loss.size != 1:
         raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss._tape
@@ -472,6 +479,6 @@ def backward(loss: Tensor) -> None:
             if gt is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                t.grad = gt.astype(np.float64, copy=True)
+                t.grad = gt.astype(np.float64) if t._tape is None else gt
             else:
                 t.grad = t.grad + gt

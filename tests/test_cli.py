@@ -151,6 +151,14 @@ def test_config_errors_exit_2(pipeline, tmp_path, capsys):
     assert code == 2
     assert "graph_mode" in capsys.readouterr().err
 
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"predicted_target = t02\n# caf\xff\n")
+    code = main(["run-all", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--config", str(not_utf8), "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
 
 def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
     code = main(["fuse", "--stations", str(tmp_path / "nowhere.csv"),
@@ -176,6 +184,25 @@ def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
                      "--observations", str(obs), "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "line 2: non-finite value" in capsys.readouterr().err
+
+    # A byte that is not UTF-8 in any CSV input is a parse error, not a crash.
+    obs.write_bytes(b"timestamp,station_id,target_id,value\n"
+                    b"2020-01-01T00:00,a,t1,1.0\xff\n")
+    code = main(["fuse", "--stations", str(stations),
+                 "--observations", str(obs), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "not UTF-8" in capsys.readouterr().err
+    stations.write_bytes(b"station_id,source_id,x,y,targets\na\xff,src1,0.1,0.2,t1\n")
+    code = main(["graph", "--stations", str(stations), "--out", str(tmp_path / "adj.csv")])
+    assert code == 3
+    assert "not UTF-8" in capsys.readouterr().err
+    fused = tmp_path / "fused.csv"
+    fused.write_bytes(pipeline["fused"].read_bytes() + b"\xff\n")
+    code = main(["report", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--fused", str(fused), "--out-dir", str(tmp_path / "report")])
+    assert code == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_fusion_errors_exit_4(tmp_path, capsys):

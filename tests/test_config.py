@@ -78,3 +78,6 @@ def test_load_config_file(tmp_path):
     bad.write_text("nope = 1\n")
     with pytest.raises(ConfigError, match="bad.cfg line 1"):
         load_config(bad)
+    bad.write_bytes(b"seed = 7\xff\n")
+    with pytest.raises(ConfigError, match="bad.cfg is not UTF-8"):
+        load_config(bad)

@@ -1,5 +1,6 @@
 """CSV loading, gap cleaning, normalization and windowing."""
 
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -18,6 +19,7 @@ from geofuse.ingest import (
     make_windows,
     target_order,
 )
+from geofuse.synth import SynthConfig, generate, write_scenario_csvs
 
 STATIONS_CSV = """\
 station_id,source_id,x,y,targets
@@ -72,6 +74,10 @@ def test_load_stations_errors(tmp_path):
         load_stations(write(
             tmp_path, "d.csv",
             "station_id,source_id,x,y,targets\ns1,n,0,0,\n"))
+    (tmp_path / "e.csv").write_bytes(
+        b"station_id,source_id,x,y,targets\ns\xff,n,0,0,pm25\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_stations(tmp_path / "e.csv")
 
 
 def test_load_observations_builds_hourly_grid(tmp_path):
@@ -114,6 +120,26 @@ def test_load_observations_errors(tmp_path):
             attempt(f"2017-01-01T00:00,s1,pm25,{value}\n")
     with pytest.raises(ValidationError, match="no observations"):
         attempt("")
+
+
+def test_load_observations_memory_is_a_small_multiple_of_the_panel(tmp_path):
+    # 60 stations, 300 hours, 2% gaps: about 42,000 rows. A reader that keeps
+    # a Python tuple per row until the file ends peaks near 23 times the
+    # panel's bytes; a streaming one near 4 times.
+    scenario = generate(SynthConfig(seed=2, hours=300, gap_rate=0.02,
+                                    stations_per_source=(20, 20, 20),
+                                    targets_per_source=(2, 3, 2)))
+    write_scenario_csvs(scenario, tmp_path / "stations.csv", tmp_path / "obs.csv")
+    stations = load_stations(tmp_path / "stations.csv")
+    tracemalloc.start()
+    try:
+        panel = load_observations(tmp_path / "obs.csv", stations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The CSV holds 7 significant digits.
+    np.testing.assert_allclose(panel.values, scenario.panel.values, rtol=1e-6)
+    assert peak < 12 * panel.values.nbytes
 
 
 def test_duplicate_cell_last_wins(tmp_path):

@@ -1,5 +1,6 @@
 """CSV artifact writers and readers, including exact float round trips."""
 
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -72,6 +73,37 @@ def test_fused_reader_errors(tmp_path):
                     "2017-03-01T00:00,s0,t0,abc,raw\n")
     with pytest.raises(ParseError, match="line 2.*value"):
         read_fused_csv(path)
+    path.write_bytes(b"timestamp,station_id,target_id,value,provenance\n"
+                     b"2017-03-01T00:00,s\xff,t0,1.5,raw\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_fused_csv(path)
+
+
+def test_fused_reader_reports_first_faulty_line(tmp_path):
+    path = tmp_path / "fused.csv"
+    path.write_text("timestamp,station_id,target_id,value,provenance\n"
+                    "2017-03-01T00:00,s0,t0,abc,raw\n"
+                    "2017-03-01T00:00,s1,t0,1.5,raw\n"
+                    "2017-03-01T00:00,s2,t0,1.5\n")
+    with pytest.raises(ParseError, match="line 2: bad value"):
+        read_fused_csv(path)
+
+
+def test_fused_reader_memory_is_a_small_multiple_of_the_panel(tmp_path):
+    # 300 hours x 60 stations x 7 targets: 126,000 rows. A reader that keeps
+    # a Python object per row until the file ends peaks near 65 times the
+    # panel's bytes; a streaming one near 10 times.
+    fused = _toy_fused(t=300, s=60, k=7, seed=4)
+    path = tmp_path / "fused.csv"
+    write_fused_csv(fused, path)
+    tracemalloc.start()
+    try:
+        back = read_fused_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == fused.values.tobytes()
+    assert peak < 30 * fused.values.nbytes
 
 
 def test_fused_reader_sorts_by_time(tmp_path):
@@ -117,6 +149,9 @@ def test_adjacency_reader_errors(tmp_path):
         read_adjacency_csv(path)
     path.write_text("station_id,a,b\na,0,x\nb,1,0\n")
     with pytest.raises(ParseError, match="weight"):
+        read_adjacency_csv(path)
+    path.write_bytes(b"station_id,a,b\na,0,1\nb,1,0\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
         read_adjacency_csv(path)
 
 

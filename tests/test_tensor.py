@@ -10,6 +10,7 @@ import pytest
 
 import geofuse.tensor as gt
 from geofuse.errors import ShapeError, TapeError
+from geofuse.optim import Adam
 
 H = 1e-5
 REL = 1e-4
@@ -274,6 +275,26 @@ def test_fanout_accumulates():
         loss = gt.reduce_sum(gt.add(x, x))
     gt.backward(loss)
     assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+def test_parameter_grads_own_their_memory():
+    # reshape and swap_axes pass their output's gradient back as a view;
+    # intermediates keep such views, a parameter must get its own array.
+    rng = np.random.default_rng(0)
+    a = gt.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = gt.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    ca, cb = rng.normal(size=12), rng.normal(size=(4, 3))
+    opt = Adam([a, b], lr=0.1)
+    with gt.Tape():
+        loss = gt.add(
+            gt.reduce_sum(gt.multiply_elementwise(gt.reshape(a, (12,)), ca)),
+            gt.reduce_sum(gt.multiply_elementwise(gt.swap_axes(b, 0, 1), cb)))
+    gt.backward(loss)
+    opt.step()
+    for p, expected in ((a, ca.reshape(3, 4)), (b, cb.T)):
+        assert p.grad.base is None
+        assert p.grad.flags.writeable
+        assert np.array_equal(p.grad, expected)
 
 
 def test_backward_requires_scalar():

@@ -5,8 +5,8 @@ report) plus run-all, which chains them over one output directory. Every
 stage writes plain CSV artifacts, and the next stage reads them back, so any
 step can be rerun or inspected in isolation.
 
-Exit codes: 0 success, 2 configuration, 3 ingest, 4 fusion, 5 graph,
-6 training, 7 evaluation.
+Exit codes: 0 success, 1 an output could not be written, 2 configuration,
+3 ingest, 4 fusion, 5 graph, 6 training, 7 evaluation.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .stgcn import (
 from .synth import SynthConfig, generate, write_scenario_csvs
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_FUSION = 4
@@ -81,18 +82,13 @@ class _Failure(Exception):
         self.code = code
 
 
+_EXIT_BY_ERROR = ((ConfigError, EXIT_CONFIG), (ParseError, EXIT_INGEST),
+                  (FusionError, EXIT_FUSION), (GraphError, EXIT_GRAPH),
+                  (TrainingError, EXIT_TRAINING))
+
+
 def _code_for(exc: GeofuseError, default: int) -> int:
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, ParseError):
-        return EXIT_INGEST
-    if isinstance(exc, FusionError):
-        return EXIT_FUSION
-    if isinstance(exc, GraphError):
-        return EXIT_GRAPH
-    if isinstance(exc, TrainingError):
-        return EXIT_TRAINING
-    return default
+    return next((code for kind, code in _EXIT_BY_ERROR if isinstance(exc, kind)), default)
 
 
 @contextmanager
@@ -522,6 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The codes are listed in the module docstring; 1 means an output could not
+    be written, and the message names the path.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -529,12 +530,12 @@ def main(argv=None) -> int:
         print(f"geofuse {args.command}: {failure}", file=sys.stderr)
         return failure.code
     except GeofuseError as exc:
-        # Escaped a phase wrapper; map by type, generic failure otherwise.
+        # Escaped every phase wrapper, so it came from writing an output.
         print(f"geofuse {args.command}: {exc}", file=sys.stderr)
-        return _code_for(exc, 1)
+        return _code_for(exc, EXIT_OUTPUT)
     except OSError as exc:
         print(f"geofuse {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

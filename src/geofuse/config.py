@@ -53,20 +53,13 @@ class PipelineConfig:
             raise ConfigError(f"channels must be three positive ints, got {self.channels}")
 
 
-def _parse_float_triplet(text: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("need exactly three comma-separated values")
-    a, b, c = (float(p) for p in parts)
-    return (a, b, c)
-
-
-def _parse_int_triplet(text: str) -> tuple[int, int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("need exactly three comma-separated values")
-    a, b, c = (int(p) for p in parts)
-    return (a, b, c)
+def _triplet(cast):
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise ValueError("need exactly three comma-separated values")
+        return tuple(cast(p.strip()) for p in parts)
+    return parse
 
 
 def _parse_optional_float(text: str) -> float | None:
@@ -77,14 +70,14 @@ _PARSERS = {
     "history_steps": int,
     "horizon_steps": int,
     "predicted_target": str,
-    "split": _parse_float_triplet,
+    "split": _triplet(float),
     "max_gap_hours": int,
     "shape_c": _parse_optional_float,
     "ridge": _parse_optional_float,
     "distance_metric": str,
     "sigma": _parse_optional_float,
     "graph_mode": str,
-    "channels": _parse_int_triplet,
+    "channels": _triplet(int),
     "time_kernel": int,
     "graph_kernel": int,
     "dropout": float,

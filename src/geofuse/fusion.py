@@ -8,8 +8,9 @@ The interpolant through N sources solves A w = b where
 A[i, j] = exp(-c * dist(i, j)^2) plus an optional diagonal ridge, and
 evaluates as F(q) = sum_j w_j * exp(-c * dist(q, j)^2). The Gaussian kernel
 makes A symmetric positive definite for distinct sources, so the solve goes
-through a Cholesky factorization with iterative refinement; the factorization
-is cached per (target, availability pattern) when fusing a whole panel.
+through a Cholesky factorization with iterative refinement. A panel is fused
+with one factorization and one multi-right-hand-side solve per (target,
+availability pattern), and every hour keeps the bits of a one-hour fusion.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .errors import FusionError, SingularSystemError, ValidationError
 from .ingest import ObservationPanel, Station
@@ -149,43 +150,61 @@ def solve_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValidationError(f"coefficient matrix must be square, got {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValidationError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    return _solve_refined(_factor(a), a, b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("coefficient matrix or rhs contains non-finite entries")
+    return _solve_refined(_factor(a), a, b[np.newaxis])[0]
 
 
-def _factor(a: np.ndarray):
-    """Lower Cholesky factor of A, or SingularSystemError if A is not SPD."""
-    try:
-        return linalg.cho_factor(a, lower=True)
-    except linalg.LinAlgError as exc:
+def _factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A, or SingularSystemError if A is not SPD.
+
+    LAPACK is called directly here and in ``_solve_refined``: scipy's
+    ``cho_factor``/``cho_solve`` checks cost several times the work.
+    """
+    factor, info = lapack.dpotrf(a, lower=1, clean=0)
+    if info:
         raise SingularSystemError(
             "coefficient matrix is singular or not positive definite; "
             "duplicate source locations are the usual cause, and a positive "
-            "ridge regularizes near-duplicates") from exc
+            "ridge regularizes near-duplicates")
+    return factor
+
+
+def _matvecs(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``mat @ row`` per row, one BLAS matvec each; a GEMM's sums vary with the row count."""
+    return np.matmul(mat, rows[:, :, np.newaxis])[:, :, 0]
 
 
 def _solve_refined(factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    """Solve A w = b for each row b of the (m, n) ``b``, refining row by row."""
+    scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
     bound = RESIDUAL_RTOL * scale
     # Refine toward the rounding floor, not just the contract bound: stopping
     # right at the relative bound leaves an absolute error of RESIDUAL_RTOL *
-    # max|b|, which is visible when observations are large. Refinement stops
-    # once it hits the floor or stops helping; the bound stays the pass/fail
+    # max|b|, visible when observations are large. A row stops refining at
+    # the floor or when a step stops helping; the bound stays the pass/fail
     # line for declaring the system solvable.
     floor = 1e4 * np.finfo(np.float64).eps * scale
-    best_w = linalg.cho_solve(factor, b)
-    best_r = float(np.max(np.abs(b - a @ best_w), initial=0.0))
+    best_w = lapack.dpotrs(factor, b.T, lower=1)[0].T
+    best_res = b - _matvecs(a, best_w)
+    best_r = np.abs(best_res).max(axis=1, initial=0.0)
+    refining = ~(best_r <= floor)
     for _ in range(4):
-        if best_r <= floor:
+        if not refining.any():
             break
-        w = best_w + linalg.cho_solve(factor, b - a @ best_w)
-        r = float(np.max(np.abs(b - a @ w), initial=0.0))
-        if r >= best_r:
-            break
-        best_w, best_r = w, r
-    if best_r < bound:
+        w = best_w + lapack.dpotrs(factor, best_res.T, lower=1)[0].T
+        res = b - _matvecs(a, w)
+        r = np.abs(res).max(axis=1, initial=0.0)
+        improved = refining & ~(r >= best_r)
+        np.copyto(best_w, w, where=improved[:, np.newaxis])
+        np.copyto(best_res, res, where=improved[:, np.newaxis])
+        np.copyto(best_r, r, where=improved)
+        refining = improved & ~(best_r <= floor)
+    if (best_r < bound).all():
         return best_w
+    j = np.argmin(best_r < bound)
     raise SingularSystemError(
-        f"weight solve residual {best_r:.3e} exceeds {bound:.3e}; the system "
+        f"weight solve residual {best_r[j]:.3e} exceeds {bound[j]:.3e}; the system "
         "is too ill-conditioned, increase the ridge")
 
 
@@ -256,10 +275,6 @@ class FusionMatrix:
             raise ValidationError("fusion matrix contains missing values")
 
 
-def _station_coords(stations: list[Station]) -> np.ndarray:
-    return np.array([[st.x, st.y] for st in stations], dtype=np.float64)
-
-
 def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
                    target_ids: list[str], config: RbfConfig | None = None,
                    timestamp=None) -> np.ndarray:
@@ -280,61 +295,45 @@ def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
     return fuse_panel(panel, config).values[0]
 
 
-class _StepSolver:
-    """Per-(target, availability pattern) cached factorization for panel fusion."""
-
-    def __init__(self, coords: np.ndarray, available: np.ndarray, shape_c: float,
-                 config: RbfConfig):
-        self.available = available
-        self.queries = ~available
-        src = coords[available]
-        dists = pairwise_distances(src, config.distance_metric)
-        self.a = assemble_coefficient_matrix(dists, replace(config, shape_c=shape_c))
-        self.factor = _factor(self.a)
-        self.basis = gaussian_rbf(
-            cross_distances(coords[self.queries], src, config.distance_metric), shape_c)
-
-    def fill(self, slice_k: np.ndarray) -> None:
-        w = _solve_refined(self.factor, self.a, slice_k[self.available])
-        slice_k[self.queries] = self.basis @ w
-
-
 def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> FusionMatrix:
     """Fuse every time step of a panel into a dense matrix with provenance.
 
-    Availability patterns repeat hour after hour, so the Cholesky factor and
-    query basis for each (target, pattern) pair are built once and reused.
+    Hours are grouped by (target, availability pattern); each group gets one
+    Cholesky factor, one query basis and one multi-right-hand-side solve, and
+    each hour's values equal ``fuse_time_step`` on that hour, bit for bit.
+    Raises FusionError for the earliest (hour, target) with no source.
     """
     config = config or RbfConfig()
     config.validate()
     panel.validate()
-    t_total, n_stations, n_targets = panel.values.shape
-    coords = _station_coords(panel.stations)
+    coords = np.array([[st.x, st.y] for st in panel.stations], dtype=np.float64)
     native = panel.native_mask()
-    shape_cs = [
-        resolve_shape_c(pairwise_distances(coords[native[:, k]], config.distance_metric), config)
-        for k in range(n_targets)
-    ]
+    metric = config.distance_metric
+    raw_mask = native & ~np.isnan(panel.values)
+    no_source = ~raw_mask.any(axis=1)
+    if no_source.any():
+        t, k = np.unravel_index(np.argmax(no_source), no_source.shape)
+        when = "" if panel.timestamps[t] is None else f" at {panel.timestamps[t]}"
+        raise FusionError(
+            f"target {panel.target_ids[k]!r} has no available source station{when}")
 
     values = panel.values.copy()
-    raw_mask = np.zeros_like(values, dtype=bool)
-    solvers: dict[tuple[int, bytes], _StepSolver] = {}
-    for t in range(t_total):
-        for k in range(n_targets):
-            available = native[:, k] & ~np.isnan(panel.values[t, :, k])
-            if not available.any():
-                when = "" if panel.timestamps[t] is None else f" at {panel.timestamps[t]}"
-                raise FusionError(
-                    f"target {panel.target_ids[k]!r} has no available source station{when}")
-            raw_mask[t, :, k] = available
-            if available.all():
-                continue
-            key = (k, available.tobytes())
-            solver = solvers.get(key)
-            if solver is None:
-                solver = _StepSolver(coords, available, shape_cs[k], config)
-                solvers[key] = solver
-            solver.fill(values[t, :, k])
+    by_target = np.ascontiguousarray(raw_mask.transpose(2, 0, 1))
+    needs_fill = ~by_target.all(axis=2)
+    for k in range(len(panel.target_ids)):
+        shape_c = resolve_shape_c(pairwise_distances(coords[native[:, k]], metric), config)
+        hours: dict[bytes, list[int]] = {}
+        for t in np.flatnonzero(needs_fill[k]):
+            hours.setdefault(by_target[k, t].tobytes(), []).append(t)
+        for ts in hours.values():
+            available = by_target[k, ts[0]]
+            rows = np.array(ts)[:, np.newaxis]
+            src = coords[available]
+            a = assemble_coefficient_matrix(pairwise_distances(src, metric),
+                                            replace(config, shape_c=shape_c))
+            w = _solve_refined(_factor(a), a, values[rows, available, k])
+            basis = gaussian_rbf(cross_distances(coords[~available], src, metric), shape_c)
+            values[rows, ~available, k] = _matvecs(basis, w)
 
     fused = FusionMatrix(
         timestamps=list(panel.timestamps),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .errors import ShapeError, TapeError
 
@@ -233,9 +232,17 @@ def left_multiply(matrix: np.ndarray, x, axis: int = -3) -> Tensor:
     return _make_output(apply(m, x.data), (x,), backward_fn)
 
 
+def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) written over ``z``; exp's overflow gives the exact 0."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        return np.reciprocal(z, out=z)
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    out = expit(x.data)
+    out = _sigmoid_inplace(x.data.copy())
 
     def backward_fn(g):
         return (g * out * (1.0 - out),)
@@ -419,7 +426,7 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
             f"must both be ({c_out},)")
     full = _conv_forward(x.data, kernel.data)
     lin = full[..., :c_out] + bias_lin.data
-    gate = expit(full[..., c_out:] + bias_gate.data)
+    gate = _sigmoid_inplace(full[..., c_out:] + bias_gate.data)
 
     def backward_fn(g):
         g_lin = g * gate

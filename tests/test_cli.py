@@ -224,6 +224,16 @@ def test_fusion_errors_exit_4(tmp_path, capsys):
     assert "t2" in err and "no available source" in err
 
 
+def test_unwritable_output_exits_1(pipeline, tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    code = main(["fuse", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
 def test_graph_errors_exit_5(pipeline, tmp_path):
     code = main(["graph", "--stations", str(pipeline["stations"]),
                  "--out", str(tmp_path / "adj.csv"), "--sigma", "0.0"])

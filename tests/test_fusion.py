@@ -6,7 +6,9 @@ The 2x2 weight solution and midpoint value below were computed once by hand
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+import geofuse.fusion as gf
 from geofuse.errors import FusionError, SingularSystemError, ValidationError
 from geofuse.fusion import (
     RbfConfig,
@@ -22,6 +24,7 @@ from geofuse.fusion import (
     solve_weights,
 )
 from geofuse.ingest import ObservationPanel, Station, target_order
+from geofuse.synth import SynthConfig, generate
 from datetime import datetime, timedelta
 
 E_INV = 0.36787944117144233      # exp(-1)
@@ -105,6 +108,12 @@ def test_solve_weights_matches_generic_solver():
         w = solve_weights(a, b)
         assert np.allclose(w, np.linalg.solve(a, b), atol=1e-9)
         assert np.max(np.abs(a @ w - b)) < 1e-8 * (1.0 + np.max(np.abs(b)))
+
+
+def test_solve_weights_rejects_non_finite_inputs():
+    for a, b in ((np.array([[np.nan]]), np.ones(1)), (np.eye(2), np.array([np.inf, 1.0]))):
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_weights(a, b)
 
 
 def test_duplicate_points_singular_and_ridge_rescue():
@@ -217,7 +226,60 @@ def test_fuse_panel_matches_per_step_route():
     fused = fuse_panel(panel, config)
     for t in range(panel.values.shape[0]):
         step = fuse_time_step(panel.values[t], panel.stations, panel.target_ids, config)
-        assert np.allclose(fused.values[t], step, atol=1e-13)
+        assert np.array_equal(fused.values[t], step)
+
+
+def test_fuse_panel_rows_equal_one_hour_fusion_at_sixty_stations():
+    # Hours that share an availability pattern are solved together; each
+    # hour's bits must not depend on how many hours share its solve. A GEMM
+    # over the stacked hours sums in another order and fails this.
+    scenario = generate(SynthConfig(seed=6, hours=48, gap_rate=0.02,
+                                    stations_per_source=(20, 20, 20),
+                                    targets_per_source=(2, 3, 2)))
+    panel = scenario.panel
+    fused = fuse_panel(panel)
+    for t in range(panel.values.shape[0]):
+        step = fuse_time_step(panel.values[t], panel.stations, panel.target_ids)
+        assert np.array_equal(fused.values[t], step), t
+
+
+def test_refinement_rows_equal_one_row_solves(monkeypatch):
+    # Near-coincident sources make A ill-conditioned enough that rows need
+    # different numbers of refinement steps; a zero row needs none.
+    rng = np.random.default_rng(64)
+    pts = np.vstack([rng.uniform(0, 1, size=(10, 2)), [[0.5, 0.5], [0.5, 0.5 + 1e-3]]])
+    a = assemble_coefficient_matrix(pairwise_distances(pts), RbfConfig(ridge=0.0))
+    factor = gf._factor(a)
+    b = rng.normal(size=(7, len(pts))) * np.logspace(-3, 5, 7)[:, None]
+    b[3] = 0.0
+
+    dpotrs, solves = lapack.dpotrs, []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return dpotrs(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrs", counted)
+    singles, steps = [], []
+    for row in b:
+        solves.clear()
+        singles.append(gf._solve_refined(factor, a, row[np.newaxis])[0])
+        steps.append(len(solves) - 1)
+    assert len(set(steps)) >= 2, steps
+    batch = gf._solve_refined(factor, a, b)
+    for j, single in enumerate(singles):
+        assert np.array_equal(batch[j], single), j
+    assert np.array_equal(solve_weights(a, b[0]), singles[0])
+
+
+def test_fuse_panel_near_duplicate_sources_without_ridge():
+    stations = [make_station("a", 0.0, 0.0), make_station("b", 1.0, 0.0),
+                make_station("c", 1.0, 1e-9), make_station("d", 0.0, 1.0)]
+    values = np.arange(12, dtype=np.float64).reshape(4, 3, 1) / 7.0
+    values = np.concatenate([values, np.full((4, 1, 1), np.nan)], axis=1)
+    panel = ObservationPanel(hourly(4), stations, ["t1"], values)
+    with pytest.raises(SingularSystemError, match="ridge"):
+        fuse_panel(panel, RbfConfig(ridge=0.0))
 
 
 def test_fuse_panel_deterministic():

@@ -5,8 +5,11 @@ within 1e-4 relative error. Losses are random projections of the op output
 so every output element contributes to the check.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import geofuse.tensor as gt
 from geofuse.errors import ShapeError, TapeError
@@ -106,6 +109,16 @@ def test_sigmoid_extreme_inputs_stay_finite():
     y = gt.sigmoid(gt.Tensor([-800.0, 0.0, 800.0]))
     assert np.all(np.isfinite(y.data))
     assert y.data[0] == 0.0 and y.data[1] == 0.5 and y.data[2] == 1.0
+
+
+def test_sigmoid_matches_expit_quietly_and_keeps_its_input():
+    x = np.concatenate([[-800.0, 800.0], np.linspace(-40.0, 40.0, 8001)])
+    before = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        y = gt.sigmoid(gt.Tensor(x)).data
+    assert np.max(np.abs(y - expit(x))) <= 2.3e-16
+    assert np.array_equal(x, before)
 
 
 def test_relu_grads_away_from_kink():

@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_config_text
 from .errors import (
     ConfigError,
     FusionError,
@@ -55,9 +56,7 @@ from .io import (
 )
 from .metrics import consistency_report, mae, mape, r2, rmse
 from .stgcn import (
-    ModelConfig,
     StgcnModel,
-    TrainConfig,
     load_model,
     operator_kind,
     predict_batch,
@@ -116,15 +115,15 @@ def _ensure_dir(path: str) -> Path:
 # ---------------------------------------------------------------- stages
 
 def _load_pipeline_config(args) -> PipelineConfig:
+    """The config file with the given ``--shape-c``/``--ridge``/``--sigma`` applied."""
+    flags = {key: value for key in ("shape_c", "ridge", "sigma")
+             if (value := getattr(args, key, None)) is not None}
     with _phase(EXIT_CONFIG):
-        config = load_config(args.config) if args.config else PipelineConfig()
-        config.validate()
+        config = (load_config(args.config, **flags) if args.config
+                  else parse_config_text("", **flags))
+        if args.command in ("train", "run-all") and not config.predicted_target:
+            raise ConfigError("config must set predicted_target")
     return config
-
-
-def _rbf_config(config: PipelineConfig) -> RbfConfig:
-    return RbfConfig(shape_c=config.shape_c, ridge=config.ridge,
-                     distance_metric=config.distance_metric)
 
 
 def _ingest(stations_path, observations_path, max_gap_hours: int):
@@ -156,7 +155,7 @@ def _operator(matrix: np.ndarray, graph_mode: str):
 
 def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
     """Normalize on the training time range and window the fused panel."""
-    p, q = config.history_steps, config.horizon_steps
+    p, q = config.model.history_steps, config.horizon_steps
     n_windows = fused.values.shape[0] - p - q + 1
     if n_windows < 1:
         raise TrainingError(
@@ -175,23 +174,11 @@ def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
 
 def _fit(fused: FusionMatrix, op, config: PipelineConfig):
     with _phase(EXIT_TRAINING):
-        if not config.predicted_target:
-            raise ConfigError("config must set predicted_target")
         dataset, norm = _prepare_dataset(fused, config)
-        model_config = ModelConfig(
-            n_nodes=len(fused.station_ids),
-            in_channels=len(fused.target_ids),
-            history_steps=config.history_steps,
-            channels=config.channels,
-            time_kernel=config.time_kernel,
-            graph_kernel=config.graph_kernel,
-            graph_mode=config.graph_mode,
-            dropout=config.dropout,
-        )
-        model = StgcnModel(model_config, seed=config.seed)
-        result = train(model, dataset, op, TrainConfig(
-            lr=config.lr, batch_size=config.batch_size,
-            epochs=config.epochs, seed=config.seed))
+        model_config = replace(config.model, n_nodes=len(fused.station_ids),
+                               in_channels=len(fused.target_ids))
+        model = StgcnModel(model_config, seed=config.train.seed)
+        result = train(model, dataset, op, config.train)
     return model, result, dataset, norm
 
 
@@ -291,12 +278,8 @@ def cmd_synth(args) -> int:
 
 def cmd_fuse(args) -> int:
     config = _load_pipeline_config(args)
-    if args.shape_c is not None:
-        config.shape_c = args.shape_c
-    if args.ridge is not None:
-        config.ridge = args.ridge
     _, _, cleaned = _ingest(args.stations, args.observations, config.max_gap_hours)
-    fused = _fuse(cleaned, _rbf_config(config))
+    fused = _fuse(cleaned, config.rbf)
     write_fused_csv(fused, args.out)
     n_fused = int((~fused.raw_mask).sum())
     print(f"fuse: {fused.values.shape[0]} hours x {fused.values.shape[1]} stations "
@@ -307,26 +290,30 @@ def cmd_fuse(args) -> int:
 
 def cmd_graph(args) -> int:
     config = _load_pipeline_config(args)
-    if args.sigma is not None:
-        config.sigma = args.sigma
     with _phase(EXIT_INGEST):
         stations = load_stations(args.stations)
     adjacency = _adjacency_from_stations(stations, config.sigma,
-                                         config.distance_metric)
+                                         config.rbf.distance_metric)
     write_adjacency_csv(adjacency.values, [st.id for st in stations], args.out)
     print(f"graph: {adjacency.n_nodes} stations, sigma={adjacency.sigma:.6g} "
           f"-> {args.out}")
     return EXIT_OK
 
 
+def _read_fused_and_adjacency(args):
+    """The fused panel and its adjacency matrix; their station ids must match."""
+    fused = read_fused_csv(args.fused)
+    station_ids, adj_matrix = read_adjacency_csv(args.adjacency)
+    if station_ids != fused.station_ids:
+        raise ValidationError("adjacency stations do not match the fused panel")
+    return fused, adj_matrix
+
+
 def cmd_train(args) -> int:
     config = _load_pipeline_config(args)
     with _phase(EXIT_INGEST):
-        fused = read_fused_csv(args.fused)
-        station_ids, adj_matrix = read_adjacency_csv(args.adjacency)
-        if station_ids != fused.station_ids:
-            raise ValidationError("adjacency stations do not match the fused panel")
-    op = _operator(adj_matrix, config.graph_mode)
+        fused, adj_matrix = _read_fused_and_adjacency(args)
+    op = _operator(adj_matrix, config.model.graph_mode)
     model, result, _, norm = _fit(fused, op, config)
     out = _ensure_dir(args.out_dir)
     save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
@@ -340,10 +327,7 @@ def cmd_train(args) -> int:
 
 def _load_model_context(args):
     with _phase(EXIT_INGEST):
-        fused = read_fused_csv(args.fused)
-        station_ids, adj_matrix = read_adjacency_csv(args.adjacency)
-        if station_ids != fused.station_ids:
-            raise ValidationError("adjacency stations do not match the fused panel")
+        fused, adj_matrix = _read_fused_and_adjacency(args)
         model, meta = load_model(args.model)
         norm, predicted, horizon, split = _restore_context(fused, meta)
     op = _operator(adj_matrix, model.config.graph_mode)
@@ -415,12 +399,12 @@ def cmd_run_all(args) -> int:
     out = _ensure_dir(args.out_dir)
     stations, raw, cleaned = _ingest(args.stations, args.observations,
                                      config.max_gap_hours)
-    fused = _fuse(cleaned, _rbf_config(config))
+    fused = _fuse(cleaned, config.rbf)
     write_fused_csv(fused, out / "fused.csv")
     adjacency = _adjacency_from_stations(stations, config.sigma,
-                                         config.distance_metric)
+                                         config.rbf.distance_metric)
     write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")
-    op = _operator(adjacency.values, config.graph_mode)
+    op = _operator(adjacency.values, config.model.graph_mode)
     model, result, _, norm = _fit(fused, op, config)
     save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
     write_history_csv(result.history, out / "history.csv")

@@ -3,54 +3,51 @@
 The file is UTF-8 text. Lines are ``key = value``; blank lines and ``#``
 comments are ignored. Unknown keys are rejected so typos fail loudly instead
 of silently running with defaults.
+
+``PipelineConfig`` holds the windowing, cleaning and graph settings and the
+stage configs ``rbf``, ``model`` and ``train``; each key names one field of
+the section ``_PARSERS`` gives it. The result is validated once, so a bad
+value is a ``ConfigError`` before any stage runs; the graph stage checks
+``sigma``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
+from .fusion import RbfConfig
+from .ingest import check_split
+from .stgcn import ModelConfig, TrainConfig
 
 
 @dataclass
 class PipelineConfig:
     # windowing
-    history_steps: int = 12
     horizon_steps: int = 3
     predicted_target: str = ""
     split: tuple[float, float, float] = (0.6, 0.2, 0.2)
     # cleaning
     max_gap_hours: int = 3
-    # fusion
-    shape_c: float | None = None
-    ridge: float | None = None
-    distance_metric: str = "euclidean"
     # graph
     sigma: float | None = None
-    graph_mode: str = "chebyshev"
-    # model
-    channels: tuple[int, int, int] = (32, 8, 32)
-    time_kernel: int = 3
-    graph_kernel: int = 3
-    dropout: float = 0.3
-    # training
-    lr: float = 0.001
-    batch_size: int = 32
-    epochs: int = 50
-    seed: int = 0
+    # stages; the model's n_nodes and in_channels come from the fused panel
+    rbf: RbfConfig = field(default_factory=RbfConfig)
+    model: ModelConfig = field(
+        default_factory=lambda: ModelConfig(n_nodes=1, in_channels=1, history_steps=12))
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
-        if self.history_steps < 1 or self.horizon_steps < 1:
-            raise ConfigError(
-                f"history_steps and horizon_steps must be >= 1, got "
-                f"({self.history_steps}, {self.horizon_steps})")
-        if len(self.split) != 3 or any(f < 0 for f in self.split) \
-                or abs(sum(self.split) - 1.0) > 1e-9:
-            raise ConfigError(f"split must be three fractions summing to 1, got {self.split}")
+        if self.horizon_steps < 1:
+            raise ConfigError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
+        check_split(self.split)
         if self.max_gap_hours < 0:
             raise ConfigError(f"max_gap_hours must be >= 0, got {self.max_gap_hours}")
-        if len(self.channels) != 3 or any(c < 1 for c in self.channels):
-            raise ConfigError(f"channels must be three positive ints, got {self.channels}")
+        try:
+            for section in (self.rbf, self.model, self.train):
+                section.validate()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _triplet(cast):
@@ -66,32 +63,32 @@ def _parse_optional_float(text: str) -> float | None:
     return None if text.lower() in ("", "none", "auto") else float(text)
 
 
+# key -> (section, parser); section None is a field of PipelineConfig itself.
 _PARSERS = {
-    "history_steps": int,
-    "horizon_steps": int,
-    "predicted_target": str,
-    "split": _triplet(float),
-    "max_gap_hours": int,
-    "shape_c": _parse_optional_float,
-    "ridge": _parse_optional_float,
-    "distance_metric": str,
-    "sigma": _parse_optional_float,
-    "graph_mode": str,
-    "channels": _triplet(int),
-    "time_kernel": int,
-    "graph_kernel": int,
-    "dropout": float,
-    "lr": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
+    "history_steps": ("model", int),
+    "horizon_steps": (None, int),
+    "predicted_target": (None, str),
+    "split": (None, _triplet(float)),
+    "max_gap_hours": (None, int),
+    "shape_c": ("rbf", _parse_optional_float),
+    "ridge": ("rbf", _parse_optional_float),
+    "distance_metric": ("rbf", str),
+    "sigma": (None, _parse_optional_float),
+    "graph_mode": ("model", str),
+    "channels": ("model", _triplet(int)),
+    "time_kernel": ("model", int),
+    "graph_kernel": ("model", int),
+    "dropout": ("model", float),
+    "lr": ("train", float),
+    "batch_size": ("train", int),
+    "epochs": ("train", int),
+    "seed": ("train", int),
 }
 
-assert set(_PARSERS) == {f.name for f in fields(PipelineConfig)}
 
-
-def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
-    config = PipelineConfig()
+def parse_config_text(text: str, source: str = "<config>", **overrides) -> PipelineConfig:
+    """The defaults with the text's settings, then ``overrides``, applied and validated."""
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,14 +100,20 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
         if key not in _PARSERS:
             raise ConfigError(f"{source} line {lineno}: unknown key {key!r}")
         try:
-            setattr(config, key, _PARSERS[key](value))
+            settings[key] = _PARSERS[key][1](value)
         except ValueError as exc:
             raise ConfigError(f"{source} line {lineno}: bad value for {key}: {exc}")
+    sections: dict = {}
+    for key, value in {**settings, **overrides}.items():
+        sections.setdefault(_PARSERS[key][0], {})[key] = value
+    config = PipelineConfig(**sections.pop(None, {}))
+    config = replace(config, **{name: replace(getattr(config, name), **values)
+                                for name, values in sections.items()})
     config.validate()
     return config
 
 
-def load_config(path) -> PipelineConfig:
+def load_config(path, **overrides) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -118,4 +121,4 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), **overrides)

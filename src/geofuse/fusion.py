@@ -47,10 +47,10 @@ class RbfConfig:
     distance_metric: str = "euclidean"
 
     def validate(self) -> None:
-        if self.shape_c is not None and not self.shape_c > 0:
-            raise ValidationError(f"shape_c must be positive, got {self.shape_c}")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValidationError(f"ridge must be >= 0, got {self.ridge}")
+        if self.shape_c is not None and not 0 < self.shape_c < np.inf:
+            raise ValidationError(f"shape_c must be positive and finite, got {self.shape_c}")
+        if self.ridge is not None and not 0 <= self.ridge < np.inf:
+            raise ValidationError(f"ridge must be >= 0 and finite, got {self.ridge}")
         if self.distance_metric not in _METRICS:
             raise ValidationError(
                 f"distance_metric must be one of {_METRICS}, got {self.distance_metric!r}")

@@ -348,6 +348,12 @@ class WindowedDataset:
         raise ValueError(f"unknown split {name!r}")
 
 
+def check_split(split: tuple[float, float, float]) -> None:
+    """Reject a split that is not three non-negative fractions summing to 1."""
+    if len(split) != 3 or not (all(f >= 0 for f in split) and abs(sum(split) - 1) <= 1e-9):
+        raise ConfigError(f"split must be three non-negative fractions summing to 1, got {split}")
+
+
 def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[str],
                  history_steps: int, horizon_steps: int, predicted_target: str,
                  split: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> WindowedDataset:
@@ -362,8 +368,7 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
         raise ValidationError(f"history and horizon must be >= 1, got ({p}, {q})")
     if predicted_target not in target_ids:
         raise ValidationError(f"predicted target {predicted_target!r} not in panel targets")
-    if len(split) != 3 or any(f < 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must be non-negative and sum to 1, got {split}")
+    check_split(split)
     t_total = values.shape[0]
     if t_total < p + q:
         raise ValidationError(

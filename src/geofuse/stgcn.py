@@ -261,14 +261,16 @@ class TrainConfig:
     loss_horizon: int = 1  # which horizon step supervises training
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.loss_horizon < 1:
             raise ConfigError(f"loss_horizon must be >= 1, got {self.loss_horizon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

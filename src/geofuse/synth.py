@@ -54,8 +54,10 @@ class SynthConfig:
             raise ConfigError("every source needs at least one target")
         if self.hours < 1:
             raise ConfigError(f"hours must be >= 1, got {self.hours}")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be >= 0 and finite, got {self.noise}")
         if not 0.0 <= self.gap_rate < 1.0:
             raise ConfigError(f"gap_rate must be in [0, 1), got {self.gap_rate}")
         if self.max_gap_len < 1:
@@ -64,7 +66,7 @@ class SynthConfig:
             raise ConfigError(f"coupling must be in [0, 1], got {self.coupling}")
         if self.coupling_lag < 0:
             raise ConfigError(f"coupling_lag must be >= 0, got {self.coupling_lag}")
-        if self.ar_strength < 0:
+        if not self.ar_strength >= 0:
             raise ConfigError(f"ar_strength must be >= 0, got {self.ar_strength}")
         if not 0.0 <= self.ar_rho < 1.0:
             raise ConfigError(f"ar_rho must be in [0, 1), got {self.ar_rho}")

@@ -160,6 +160,41 @@ def test_config_errors_exit_2(pipeline, tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "shape_c = -1", "shape_c = inf", "ridge = -1", "ridge = nan",
+    "distance_metric = manhattan", "dropout = 1.5", "lr = 0", "lr = nan",
+    "batch_size = 0", "epochs = 0", "graph_kernel = 0", "time_kernel = 9",
+    "seed = -1", "split = 0.5, 0.5, nan",
+])
+def test_bad_config_value_exits_2_before_any_stage(pipeline, tmp_path, setting):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + setting + "\n")
+    out = tmp_path / "run"
+    code = main(["run-all", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--config", str(bad), "--out-dir", str(out)])
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_bad_flag_values_exit_2(pipeline, tmp_path):
+    fused = tmp_path / "fused.csv"
+    for value in ("-1", "nan"):
+        code = main(["fuse", "--stations", str(pipeline["stations"]),
+                     "--observations", str(pipeline["observations"]),
+                     "--out", str(fused), "--shape-c", value])
+        assert code == 2
+    manhattan = tmp_path / "manhattan.cfg"
+    manhattan.write_text("distance_metric = manhattan\n")
+    code = main(["graph", "--stations", str(pipeline["stations"]),
+                 "--out", str(tmp_path / "adj.csv"), "--config", str(manhattan)])
+    assert code == 2
+    for flags in (["--seed", "-1"], ["--noise", "nan"]):
+        code = main(["synth", "--out-dir", str(tmp_path / "synth"), *flags])
+        assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manhattan.cfg"]
+
+
 def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
     code = main(["fuse", "--stations", str(tmp_path / "nowhere.csv"),
                  "--observations", str(pipeline["observations"]),

@@ -1,23 +1,25 @@
 """Flat key=value pipeline configuration files."""
 
+from dataclasses import fields
+
 import pytest
 
-from geofuse.config import PipelineConfig, load_config, parse_config_text
+from geofuse.config import _PARSERS, PipelineConfig, load_config, parse_config_text
 from geofuse.errors import ConfigError
 
 
 def test_defaults_round_trip():
     config = parse_config_text("")
     assert config == PipelineConfig()
-    assert config.history_steps == 12
-    assert config.channels == (32, 8, 32)
-    assert config.shape_c is None
+    assert config.model.history_steps == 12
+    assert config.model.channels == (32, 8, 32)
+    assert config.rbf.shape_c is None
 
 
 def test_values_comments_and_whitespace():
     text = """
     # forecasting window
-    history_steps = 8
+    history_steps = 9
     horizon_steps=2          # inline comment
     predicted_target = t03
 
@@ -30,16 +32,28 @@ def test_values_comments_and_whitespace():
     lr = 0.01
     """
     config = parse_config_text(text)
-    assert config.history_steps == 8
+    assert config.model.history_steps == 9
     assert config.horizon_steps == 2
     assert config.predicted_target == "t03"
     assert config.split == (0.7, 0.2, 0.1)
-    assert config.channels == (16, 8, 16)
-    assert config.shape_c == 0.25
-    assert config.ridge is None
+    assert config.model.channels == (16, 8, 16)
+    assert config.rbf.shape_c == 0.25
+    assert config.rbf.ridge is None
     assert config.sigma is None
-    assert config.dropout == 0.1
-    assert config.lr == 0.01
+    assert config.model.dropout == 0.1
+    assert config.train.lr == 0.01
+    # Four temporal layers of width 3 leave 8 - 4 * 2 = 0 steps for the head.
+    with pytest.raises(ConfigError, match="history_steps=8 leaves 0 time steps"):
+        parse_config_text(text.replace("history_steps = 9", "history_steps = 8"))
+
+
+def test_every_key_is_a_field_of_its_section():
+    config = PipelineConfig()
+    owners = {None: config, "rbf": config.rbf, "model": config.model, "train": config.train}
+    unkeyed = {"rbf", "model", "train", "n_nodes", "in_channels", "loss_horizon"}
+    declared = {(section, f.name) for section, owner in owners.items()
+                for f in fields(owner) if f.name not in unkeyed}
+    assert {(section, key) for key, (section, _) in _PARSERS.items()} == declared
 
 
 def test_unknown_key_reports_line():
@@ -69,8 +83,8 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 7\nepochs = 3\n")
     config = load_config(path)
-    assert config.seed == 7
-    assert config.epochs == 3
+    assert config.train.seed == 7
+    assert config.train.epochs == 3
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.cfg")
     # Errors from a file name the file.

@@ -126,6 +126,14 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return config
 
 
+def _check_predicted_target(config: PipelineConfig, target_ids: list[str]) -> None:
+    with _phase(EXIT_CONFIG):
+        if config.predicted_target not in target_ids:
+            raise ConfigError(
+                f"predicted_target {config.predicted_target!r} is not a target of "
+                f"the panel ({', '.join(target_ids)})")
+
+
 def _ingest(stations_path, observations_path, max_gap_hours: int):
     with _phase(EXIT_INGEST):
         stations = load_stations(stations_path)
@@ -313,6 +321,7 @@ def cmd_train(args) -> int:
     config = _load_pipeline_config(args)
     with _phase(EXIT_INGEST):
         fused, adj_matrix = _read_fused_and_adjacency(args)
+    _check_predicted_target(config, fused.target_ids)
     op = _operator(adj_matrix, config.model.graph_mode)
     model, result, _, norm = _fit(fused, op, config)
     out = _ensure_dir(args.out_dir)
@@ -339,8 +348,11 @@ def cmd_predict(args) -> int:
     if args.horizon is not None:
         horizon = args.horizon
     with _phase(EXIT_EVALUATION):
-        if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        n_hours = fused.values.shape[0]
+        if not 1 <= horizon <= n_hours:
+            raise ValidationError(
+                f"horizon must be between 1 and the fused panel's {n_hours} hours, "
+                f"got {horizon}")
         p = model.config.history_steps
         if fused.values.shape[0] < p:
             raise ValidationError(
@@ -399,6 +411,7 @@ def cmd_run_all(args) -> int:
     out = _ensure_dir(args.out_dir)
     stations, raw, cleaned = _ingest(args.stations, args.observations,
                                      config.max_gap_hours)
+    _check_predicted_target(config, cleaned.target_ids)
     fused = _fuse(cleaned, config.rbf)
     write_fused_csv(fused, out / "fused.csv")
     adjacency = _adjacency_from_stations(stations, config.sigma,

@@ -119,42 +119,29 @@ class TemporalGatedConv:
 class GraphConv:
     """Mix information across stations with a spectral graph filter.
 
-    chebyshev: sum_r Theta_r T_r(M) x with T_0 = I, T_1 = M and
+    chebyshev: sum_r T_r(M) x Theta_r with T_0 = I, T_1 = M and
     T_r = 2 M T_{r-1} - T_{r-2}, M the scaled Laplacian.
-    first_order: Theta_0 (M x) with M the renormalized adjacency.
+    first_order: M x Theta_0 with M the renormalized adjacency.
+
+    The forward pass is a single ``graph_conv`` tape op on the whole
+    (order, c_in, c_out) kernel; only the constant basis [T_r(M)] or [M]
+    depends on the mode. ``StgcnModel.forward`` has checked the operator's
+    kind and shape before any layer runs.
     """
 
     def __init__(self, order: int, c_in: int, c_out: int, mode: str,
                  rng: np.random.Generator):
-        self.order, self.c_in, self.c_out, self.mode = order, c_in, c_out, mode
+        self.order, self.mode = order, mode
         kernel = np.stack([_glorot(rng, (c_in, c_out), c_in, c_out)
                            for _ in range(order)])
         self.kernel = Tensor(kernel, requires_grad=True)
 
-    def _theta(self, r: int) -> Tensor:
-        return tz.reshape(tz.slice_axis(self.kernel, 0, r, r + 1),
-                          (self.c_in, self.c_out))
-
     def forward(self, x: Tensor, op: GraphOperator) -> Tensor:
-        expected = _MODE_TO_OPERATOR[self.mode]
-        if op.kind != expected:
-            raise ValidationError(
-                f"graph mode {self.mode!r} needs a {expected} operator, "
-                f"got {op.kind!r}")
         m = op.matrix
-        if self.mode == "first_order":
-            return tz.matmul(tz.left_multiply(m, x, axis=1), self._theta(0))
-        acc = tz.matmul(x, self._theta(0))
-        if self.order >= 2:
-            t_prev, t_cur = x, tz.left_multiply(m, x, axis=1)
-            acc = tz.add(acc, tz.matmul(t_cur, self._theta(1)))
-            for r in range(2, self.order):
-                t_next = tz.sub(
-                    tz.multiply_elementwise(tz.left_multiply(m, t_cur, axis=1), 2.0),
-                    t_prev)
-                acc = tz.add(acc, tz.matmul(t_next, self._theta(r)))
-                t_prev, t_cur = t_cur, t_next
-        return acc
+        basis = [m] if self.mode == "first_order" else [np.eye(len(m)), m]
+        while len(basis) < self.order:
+            basis.append(2.0 * m @ basis[-1] - basis[-2])
+        return tz.graph_conv(x, np.stack(basis[:self.order]), self.kernel)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"kernel": self.kernel}

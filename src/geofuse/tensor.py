@@ -207,31 +207,6 @@ def matmul(a, b) -> Tensor:
     return _make_output(data, (a, b), backward_fn)
 
 
-def left_multiply(matrix: np.ndarray, x, axis: int = -3) -> Tensor:
-    """Contract a constant square matrix against one axis of ``x``.
-
-    Used to apply a graph operator over the node axis of a (batch, node,
-    time, channel) block. ``matrix`` is data, not a parameter: no gradient
-    flows into it.
-    """
-    x = _as_tensor(x)
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"left_multiply: matrix must be square 2-D, got {m.shape}")
-    ax = axis % x.ndim if x.ndim else 0
-    if x.ndim == 0 or x.shape[ax] != m.shape[1]:
-        raise ShapeError(f"left_multiply: axis {axis} of {x.shape} does not match {m.shape}")
-
-    def apply(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
-        out = np.tensordot(mat, arr, axes=([1], [ax]))
-        return np.moveaxis(out, 0, ax)
-
-    def backward_fn(g):
-        return (apply(m.T, g),)
-
-    return _make_output(apply(m, x.data), (x,), backward_fn)
-
-
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) written over ``z``; exp's overflow gives the exact 0."""
     with np.errstate(over="ignore"):
@@ -303,25 +278,6 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _make_output(x.data[index].copy(), (x,), backward_fn)
-
-
-def concat_channels(tensors) -> Tensor:
-    """Concatenate along the last axis."""
-    ts = tuple(_as_tensor(t) for t in tensors)
-    if not ts:
-        raise ShapeError("concat_channels: need at least one tensor")
-    lead = ts[0].shape[:-1]
-    for t in ts[1:]:
-        if t.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_channels: leading dims differ, {ts[0].shape} vs {t.shape}")
-    widths = [t.shape[-1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-
-    def backward_fn(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(ts)))
-
-    return _make_output(np.concatenate([t.data for t in ts], axis=-1), ts, backward_fn)
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -436,6 +392,41 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
         return gx, gk, _unbroadcast(g_lin, (c_out,)), _unbroadcast(g_gate, (c_out,))
 
     return _make_output(lin * gate, (x, kernel, bias_lin, bias_gate), backward_fn)
+
+
+def graph_conv(x, basis, kernel) -> Tensor:
+    """Graph filter ``sum_r basis[r] x kernel[r]`` over the node axis, as one op.
+
+    ``x``: (B, S, T, C_in), ``basis``: a constant (R, S, S) stack of node
+    operators (no gradient flows into it), ``kernel``: (R, C_in, C_out) ->
+    (B, S, T, C_out). The kernel is applied first, as one (C_in, R C_out)
+    matmul, so no R filtered copies of ``x`` are held; one contraction over
+    (R, S) then mixes the nodes. The backward reverses both steps.
+    """
+    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    basis = np.asarray(basis, dtype=np.float64)
+    if kernel.ndim != 3:
+        raise ShapeError(f"graph_conv: kernel must be (R, C_in, C_out), got {kernel.shape}")
+    r, c_in, c_out = kernel.shape
+    if x.ndim != 4 or x.shape[-1] != c_in:
+        raise ShapeError(f"graph_conv: input {x.shape} does not match kernel {kernel.shape}")
+    s = x.shape[1]
+    if basis.shape != (r, s, s):
+        raise ShapeError(
+            f"graph_conv: basis {basis.shape} is not ({r}, {s}, {s}) for input "
+            f"{x.shape} and kernel {kernel.shape}")
+    w = kernel.data.transpose(1, 0, 2).reshape(c_in, r * c_out)
+    xw = (x.data @ w).reshape(x.shape[:-1] + (r, c_out))        # (B, S, T, R, C_out)
+    out = np.tensordot(basis, xw, axes=([0, 2], [3, 1]))         # (S, B, T, C_out)
+
+    def backward_fn(g):
+        gxw = np.tensordot(basis, g, axes=([1], [1]))            # (R, S, B, T, C_out)
+        gxw = gxw.transpose(2, 1, 3, 0, 4).reshape(-1, r * c_out)
+        gk = x.data.reshape(-1, c_in).T @ gxw
+        return ((gxw @ w.T).reshape(x.shape),
+                gk.reshape(c_in, r, c_out).transpose(1, 0, 2))
+
+    return _make_output(np.moveaxis(out, 0, 1), (x, kernel), backward_fn)
 
 
 def dropout(x, rate: float, training: bool, rng) -> Tensor:

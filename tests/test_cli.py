@@ -151,6 +151,15 @@ def test_config_errors_exit_2(pipeline, tmp_path, capsys):
     assert code == 2
     assert "graph_mode" in capsys.readouterr().err
 
+    unknown_target = tmp_path / "unknown_target.cfg"
+    unknown_target.write_text(CONFIG + "predicted_target = t99\n")
+    code = main(["train", "--fused", str(pipeline["fused"]),
+                 "--adjacency", str(pipeline["adjacency"]),
+                 "--config", str(unknown_target), "--out-dir", str(tmp_path / "model")])
+    assert code == 2
+    assert "t99" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
+
     not_utf8 = tmp_path / "not_utf8.cfg"
     not_utf8.write_bytes(b"predicted_target = t02\n# caf\xff\n")
     code = main(["run-all", "--stations", str(pipeline["stations"]),
@@ -164,7 +173,7 @@ def test_config_errors_exit_2(pipeline, tmp_path, capsys):
     "shape_c = -1", "shape_c = inf", "ridge = -1", "ridge = nan",
     "distance_metric = manhattan", "dropout = 1.5", "lr = 0", "lr = nan",
     "batch_size = 0", "epochs = 0", "graph_kernel = 0", "time_kernel = 9",
-    "seed = -1", "split = 0.5, 0.5, nan",
+    "seed = -1", "split = 0.5, 0.5, nan", "predicted_target = t99",
 ])
 def test_bad_config_value_exits_2_before_any_stage(pipeline, tmp_path, setting):
     bad = tmp_path / "bad.cfg"
@@ -308,3 +317,11 @@ def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):
                  "--model", str(pipeline["model"]),
                  "--out", str(tmp_path / "f.csv"), "--horizon", "0"])
     assert code == 7
+    # A horizon past the panel's 80 hours is refused before any rollout.
+    code = main(["predict", "--fused", str(pipeline["fused"]),
+                 "--adjacency", str(pipeline["adjacency"]),
+                 "--model", str(pipeline["model"]),
+                 "--out", str(tmp_path / "f.csv"), "--horizon", "100000000"])
+    assert code == 7
+    assert "got 100000000" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()

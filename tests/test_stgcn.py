@@ -185,6 +185,26 @@ def test_training_steps_leave_no_tensors_behind():
     assert counts[20] == counts[2], counts
 
 
+def test_graph_conv_records_one_tape_op_at_any_order():
+    # The filter order changes only the constant basis, never the tape.
+    cheb, ren = operators(3, seed=18)
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(2, 6, 3, 2))
+    y = rng.normal(size=(2, 3, 1))
+    records = {}
+    for mode, order, op in (("chebyshev", 1, cheb), ("chebyshev", 2, cheb),
+                            ("chebyshev", 3, cheb), ("first_order", 1, ren)):
+        model = StgcnModel(tiny_config(graph_mode=mode, graph_kernel=order), seed=20)
+        with gt.Tape() as tape:
+            loss = l2_loss(model.forward(x, op), y)
+        records[(mode, order)] = len(tape)
+        gt.backward(loss)
+        with gt.Tape() as tape:
+            model.block1.graph.forward(Tensor(rng.normal(size=(2, 3, 5, 3))), op)
+        assert len(tape) == 1, (mode, order)
+    assert len(set(records.values())) == 1, records
+
+
 def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2):
     rng = np.random.default_rng(seed)
     t = np.arange(t_total)[:, None]

@@ -91,14 +91,6 @@ def test_matmul_batched_grads():
     assert_grads_match(lambda: projected(gt.matmul(a, b), np.random.default_rng(20)), [a, b])
 
 
-def test_left_multiply_grads():
-    rng = np.random.default_rng(21)
-    m = rng.standard_normal((4, 4))
-    x = gt.Tensor(rng.standard_normal((2, 4, 5, 3)), requires_grad=True)
-    assert_grads_match(
-        lambda: projected(gt.left_multiply(m, x, axis=-3), np.random.default_rng(22)), [x])
-
-
 def test_sigmoid_grads():
     rng = np.random.default_rng(23)
     x = gt.Tensor(rng.standard_normal((3, 7)) * 3.0, requires_grad=True)
@@ -145,14 +137,6 @@ def test_slice_axis_grads():
     x = gt.Tensor(rng.standard_normal((3, 8, 2)), requires_grad=True)
     assert_grads_match(
         lambda: projected(gt.slice_axis(x, 1, 2, 6), np.random.default_rng(30)), [x])
-
-
-def test_concat_channels_grads():
-    rng = np.random.default_rng(31)
-    a = gt.Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
-    b = gt.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    assert_grads_match(
-        lambda: projected(gt.concat_channels([a, b]), np.random.default_rng(32)), [a, b])
 
 
 def test_reduce_sum_and_mean_grads():
@@ -241,6 +225,20 @@ def test_gated_conv1d_time_matches_composed_ops():
         for got, want in zip([fused_out] + fused_grads, [ref_out] + ref_grads):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode,order", [
+    ("chebyshev", 1), ("chebyshev", 2), ("chebyshev", 3), ("first_order", 1)])
+def test_graph_conv_grads(mode, order):
+    # M is not symmetric, so a VJP that forgets to transpose the basis fails.
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((4, 4)) * 0.5
+    basis = [m] if mode == "first_order" else [np.eye(4), m, 2.0 * m @ m - np.eye(4)]
+    basis = np.stack(basis[:order])
+    x = gt.Tensor(rng.standard_normal((2, 4, 3, 3)), requires_grad=True)
+    k = gt.Tensor(rng.standard_normal((order, 3, 2)), requires_grad=True)
+    assert_grads_match(
+        lambda: projected(gt.graph_conv(x, basis, k), np.random.default_rng(22)), [x, k])
 
 
 def test_dropout_grads_with_fixed_seed():
@@ -369,6 +367,11 @@ def test_shape_errors_name_the_op():
         gt.gated_conv1d_time(x, gt.Tensor(np.zeros((6, 3, 4))), bias, bias)
     with pytest.raises(ShapeError, match="gated_conv1d_time.*biases"):
         gt.gated_conv1d_time(x, gt.Tensor(np.zeros((2, 3, 4))), np.zeros(3), bias)
+    g = gt.Tensor(np.zeros((2, 4, 5, 3)))
+    with pytest.raises(ShapeError, match="graph_conv.*basis"):
+        gt.graph_conv(g, np.zeros((2, 4, 4)), gt.Tensor(np.zeros((3, 3, 2))))
+    with pytest.raises(ShapeError, match="graph_conv.*input"):
+        gt.graph_conv(g, np.zeros((3, 4, 4)), gt.Tensor(np.zeros((3, 2, 2))))
 
 
 def test_operator_sugar_matches_functions():

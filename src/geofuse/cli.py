@@ -408,11 +408,11 @@ def cmd_report(args) -> int:
 
 def cmd_run_all(args) -> int:
     config = _load_pipeline_config(args)
-    out = _ensure_dir(args.out_dir)
     stations, raw, cleaned = _ingest(args.stations, args.observations,
                                      config.max_gap_hours)
     _check_predicted_target(config, cleaned.target_ids)
     fused = _fuse(cleaned, config.rbf)
+    out = _ensure_dir(args.out_dir)
     write_fused_csv(fused, out / "fused.csv")
     adjacency = _adjacency_from_stations(stations, config.sigma,
                                          config.rbf.distance_metric)

@@ -22,6 +22,7 @@ last value.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -124,24 +125,27 @@ class GraphConv:
     first_order: M x Theta_0 with M the renormalized adjacency.
 
     The forward pass is a single ``graph_conv`` tape op on the whole
-    (order, c_in, c_out) kernel; only the constant basis [T_r(M)] or [M]
-    depends on the mode. ``StgcnModel.forward`` has checked the operator's
-    kind and shape before any layer runs.
+    (order, c_in, c_out) kernel and the constant (order, S, S) basis that
+    ``GraphConv.basis`` builds. ``StgcnModel.forward`` builds it once per
+    call, after checking the operator's kind and shape, and hands it to both
+    blocks.
     """
 
-    def __init__(self, order: int, c_in: int, c_out: int, mode: str,
-                 rng: np.random.Generator):
-        self.order, self.mode = order, mode
+    def __init__(self, order: int, c_in: int, c_out: int, rng: np.random.Generator):
         kernel = np.stack([_glorot(rng, (c_in, c_out), c_in, c_out)
                            for _ in range(order)])
         self.kernel = Tensor(kernel, requires_grad=True)
 
-    def forward(self, x: Tensor, op: GraphOperator) -> Tensor:
-        m = op.matrix
-        basis = [m] if self.mode == "first_order" else [np.eye(len(m)), m]
-        while len(basis) < self.order:
+    @staticmethod
+    def basis(m: np.ndarray, mode: str, order: int) -> np.ndarray:
+        """[M] for first_order, [T_0(M), ..., T_{order-1}(M)] for chebyshev."""
+        basis = [m] if mode == "first_order" else [np.eye(len(m)), m]
+        while len(basis) < order:
             basis.append(2.0 * m @ basis[-1] - basis[-2])
-        return tz.graph_conv(x, np.stack(basis[:self.order]), self.kernel)
+        return np.stack(basis[:order])
+
+    def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
+        return tz.graph_conv(x, basis, self.kernel)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"kernel": self.kernel}
@@ -153,12 +157,12 @@ class STConvBlock:
     def __init__(self, config: ModelConfig, c_in: int, rng: np.random.Generator):
         c1, c2, c3 = config.channels
         self.temporal_in = TemporalGatedConv(config.time_kernel, c_in, c1, rng)
-        self.graph = GraphConv(config.graph_kernel, c1, c2, config.graph_mode, rng)
+        self.graph = GraphConv(config.graph_kernel, c1, c2, rng)
         self.temporal_out = TemporalGatedConv(config.time_kernel, c2, c3, rng)
 
-    def forward(self, x: Tensor, op: GraphOperator) -> Tensor:
+    def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
         h = self.temporal_in.forward(x)
-        h = tz.relu(self.graph.forward(h, op))
+        h = tz.relu(self.graph.forward(h, basis))
         return self.temporal_out.forward(h)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -219,10 +223,11 @@ class StgcnModel:
         if training and cfg.dropout > 0.0 and rng is None:
             raise ValidationError("training forward with dropout needs an rng")
 
+        basis = GraphConv.basis(op.matrix, cfg.graph_mode, cfg.graph_kernel)
         h = tz.swap_axes(x, 1, 2)                    # (B, S, P, K)
-        h = self.block1.forward(h, op)
+        h = self.block1.forward(h, basis)
         h = tz.dropout(h, cfg.dropout, training, rng)
-        h = self.block2.forward(h, op)
+        h = self.block2.forward(h, basis)
         h = tz.dropout(h, cfg.dropout, training, rng)
         h = self.head_temporal.forward(h)            # (B, S, 1, c3)
         h = tz.reshape(h, (x.shape[0], cfg.n_nodes, cfg.channels[2]))
@@ -287,6 +292,26 @@ def _validation_stats(model: StgcnModel, op: GraphOperator, inputs: np.ndarray,
     return loss, float(np.abs(err).mean()), float(np.sqrt((err ** 2).mean()))
 
 
+def _keep_freed_pages() -> None:
+    """Let glibc keep up to 64 MiB of freed memory instead of unmapping it.
+
+    ``backward`` frees each step's arrays; with glibc's defaults their pages
+    go back to the kernel and the next step faults them in again, about a
+    third of a step's time. M_MMAP_THRESHOLD = 32 MiB is the top of glibc's
+    dynamic range and M_TRIM_THRESHOLD = 64 MiB twice that, glibc's own
+    rule; setting either one stops the dynamic adjustment, so both are set.
+    Only ``train`` calls this, so a process that never trains keeps the
+    defaults. Without glibc's ``mallopt``, a no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
 def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
           config: TrainConfig | None = None) -> TrainResult:
     """Adam training with a fixed shuffle seed and best-validation selection.
@@ -294,10 +319,12 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     The supervision signal is horizon step ``loss_horizon`` (default 1, the
     next step). Validation loss, MAE and RMSE are computed on the normalized
     scale after every epoch; the parameters of the best validation epoch are
-    restored into the model before returning.
+    restored into the model before returning. Freed pages stay in the
+    process, up to 64 MiB (see ``_keep_freed_pages``).
     """
     config = config or TrainConfig()
     config.validate()
+    _keep_freed_pages()
     if config.loss_horizon > dataset.horizon_steps:
         raise ConfigError(
             f"loss_horizon {config.loss_horizon} exceeds dataset horizon "

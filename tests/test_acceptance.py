@@ -25,6 +25,7 @@ from geofuse.graph import build_adjacency, normalized_laplacian, scaled_laplacia
 from geofuse.ingest import apply_normalization, fit_normalization, make_windows
 from geofuse.metrics import consistency_report, kde_l1_distance, mae, mape, r2, rmse
 from geofuse.stgcn import (
+    GraphConv,
     ModelConfig,
     StgcnModel,
     TrainConfig,
@@ -238,9 +239,10 @@ def test_c06_temporal_shape_algebra():
     op = scaled_laplacian(build_adjacency(
         pairwise_distances(np.random.default_rng(61).uniform(0, 1, (5, 2)))))
     x = Tensor(np.random.default_rng(62).normal(size=(2, 5, 12, 4)))  # (B,S,T,C)
-    after1 = model.block1.forward(x, op)
+    basis = GraphConv.basis(op.matrix, config.graph_mode, config.graph_kernel)
+    after1 = model.block1.forward(x, basis)
     assert after1.shape[2] == 8
-    after2 = model.block2.forward(after1, op)
+    after2 = model.block2.forward(after1, basis)
     assert after2.shape[2] == 4
     assert config.head_time_steps == 4
     out = model.forward(np.swapaxes(x.data, 1, 2), op)

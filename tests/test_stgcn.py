@@ -1,6 +1,12 @@
 """Model shape algebra, gradient flow, training behavior, and rollout."""
 
+import ctypes
 import gc
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +30,8 @@ from geofuse.stgcn import (
     train,
 )
 from geofuse.tensor import Tensor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def operators(n, seed=0):
@@ -89,7 +97,7 @@ def test_chebyshev_layer_matches_dense_expansion():
     s, order, c_in, c_out = 5, 3, 3, 2
     cheb, _ = operators(s, seed=6)
     m = cheb.matrix
-    layer = GraphConv(order, c_in, c_out, "chebyshev", np.random.default_rng(7))
+    layer = GraphConv(order, c_in, c_out, np.random.default_rng(7))
     x = rng.normal(size=(2, s, 4, c_in))
 
     polys = [np.eye(s), m]
@@ -97,7 +105,7 @@ def test_chebyshev_layer_matches_dense_expansion():
     theta = layer.kernel.data
     expected = sum(
         np.einsum("ij,bjtc,ck->bitk", polys[r], x, theta[r]) for r in range(order))
-    out = layer.forward(Tensor(x), cheb)
+    out = layer.forward(Tensor(x), GraphConv.basis(m, "chebyshev", order))
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -105,10 +113,11 @@ def test_first_order_layer_matches_dense_form():
     rng = np.random.default_rng(8)
     s = 4
     _, ren = operators(s, seed=9)
-    layer = GraphConv(1, 2, 3, "first_order", np.random.default_rng(10))
+    layer = GraphConv(1, 2, 3, np.random.default_rng(10))
     x = rng.normal(size=(1, s, 5, 2))
     expected = np.einsum("ij,bjtc,ck->bitk", ren.matrix, x, layer.kernel.data[0])
-    assert np.allclose(layer.forward(Tensor(x), ren).data, expected, atol=1e-12)
+    basis = GraphConv.basis(ren.matrix, "first_order", 1)
+    assert np.allclose(layer.forward(Tensor(x), basis).data, expected, atol=1e-12)
 
 
 def test_l2_loss_values():
@@ -200,7 +209,8 @@ def test_graph_conv_records_one_tape_op_at_any_order():
         records[(mode, order)] = len(tape)
         gt.backward(loss)
         with gt.Tape() as tape:
-            model.block1.graph.forward(Tensor(rng.normal(size=(2, 3, 5, 3))), op)
+            model.block1.graph.forward(Tensor(rng.normal(size=(2, 3, 5, 3))),
+                                       GraphConv.basis(op.matrix, mode, order))
         assert len(tape) == 1, (mode, order)
     assert len(set(records.values())) == 1, records
 
@@ -237,25 +247,90 @@ def test_training_reduces_loss_and_restores_best():
     assert val_loss == pytest.approx(result.best_val_loss, rel=1e-12)
 
 
-def test_training_is_deterministic():
+def _train_small_run():
     ds = _smooth_dataset()
     cheb, _ = operators(4, seed=15)
+    config = ModelConfig(n_nodes=4, in_channels=2, history_steps=6,
+                         channels=(4, 2, 4), time_kernel=2, graph_kernel=2,
+                         dropout=0.2)
+    model = StgcnModel(config, seed=18)
+    result = train(model, ds, cheb, TrainConfig(lr=0.01, batch_size=16,
+                                                epochs=6, seed=19))
+    return result, {k: v.data.copy() for k, v in model.parameters().items()}
 
-    def run():
-        config = ModelConfig(n_nodes=4, in_channels=2, history_steps=6,
-                             channels=(4, 2, 4), time_kernel=2, graph_kernel=2,
-                             dropout=0.2)
-        model = StgcnModel(config, seed=18)
-        result = train(model, ds, cheb, TrainConfig(lr=0.01, batch_size=16,
-                                                    epochs=6, seed=19))
-        return result, {k: v.data.copy() for k, v in model.parameters().items()}
 
-    res_a, params_a = run()
-    res_b, params_b = run()
+def test_training_is_deterministic():
+    res_a, params_a = _train_small_run()
+    res_b, params_b = _train_small_run()
     assert [(h.train_loss, h.val_loss) for h in res_a.history] == \
            [(h.train_loss, h.val_loss) for h in res_b.history]
     for name in params_a:
         assert np.array_equal(params_a[name], params_b[name])
+
+
+@pytest.mark.parametrize("loader", ["raises", "no_mallopt"])
+def test_training_without_mallopt_is_unchanged(monkeypatch, loader):
+    result_ref, params_ref = _train_small_run()
+    calls = []
+
+    def fake_cdll(name, *args, **kwargs):
+        calls.append(name)
+        if loader == "raises":
+            raise OSError("no C library")
+        return object()                       # a C library without mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    result, params = _train_small_run()
+    assert calls, "train did not look for mallopt"
+    assert result.history == result_ref.history
+    for name in params_ref:
+        assert np.array_equal(params[name], params_ref[name])
+
+
+def _faults_per_step_after_train() -> list[int]:
+    """Minor page faults of each of 20 c07-shape steps run after ``train``."""
+    import resource                                       # Unix only
+    s, k, p = 15, 3, 12
+    rng = np.random.default_rng(21)
+    ds = make_windows(rng.normal(size=(200, s, k)), [f"s{i}" for i in range(s)],
+                      ["a", "b", "c"], p, 1, "a")
+    cheb, _ = operators(s, seed=22)
+    model = StgcnModel(ModelConfig(n_nodes=s, in_channels=k, history_steps=p,
+                                   channels=(16, 8, 16), time_kernel=3,
+                                   graph_kernel=3, dropout=0.0), seed=23)
+    train(model, ds, cheb, TrainConfig(batch_size=32, epochs=1, seed=24))
+    x, y = ds.part("train")
+    x, y = x[:32], y[:32, 0]
+    opt = Adam(list(model.parameters().values()), lr=1e-3)
+    faults = []
+    for _ in range(20):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with gt.Tape():
+            loss = l2_loss(model.forward(x, cheb), y)
+        gt.backward(loss)
+        opt.step()
+        opt.zero_grad()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mallopt thresholds only")
+def test_training_steps_do_not_fault_pages():
+    # train() keeps freed pages in the process, so the next step reuses them
+    # instead of faulting fresh ones in (about 2,000 per step at this shape
+    # with glibc's defaults). It runs in a fresh interpreter because glibc
+    # raises its own thresholds after large frees: in a process that has
+    # already trained and rolled out, the steps may not fault even without it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p)
+    code = "import test_stgcn; print(*test_stgcn._faults_per_step_after_train())"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    faults = [int(f) for f in result.stdout.split()]
+    assert len(faults) == 20 and max(faults) < 100, faults
 
 
 def test_train_config_errors():

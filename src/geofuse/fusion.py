@@ -301,14 +301,17 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     Hours are grouped by (target, availability pattern); each group gets one
     Cholesky factor, one query basis and one multi-right-hand-side solve, and
     each hour's values equal ``fuse_time_step`` on that hour, bit for bit.
-    Raises FusionError for the earliest (hour, target) with no source.
+    One pairwise distance matrix over all stations is computed per call;
+    every target's auto shape, and each pattern's source and query blocks,
+    are taken from it. Raises FusionError for the earliest (hour, target)
+    with no source.
     """
     config = config or RbfConfig()
     config.validate()
     panel.validate()
     coords = np.array([[st.x, st.y] for st in panel.stations], dtype=np.float64)
+    dists = pairwise_distances(coords, config.distance_metric)
     native = panel.native_mask()
-    metric = config.distance_metric
     raw_mask = native & ~np.isnan(panel.values)
     no_source = ~raw_mask.any(axis=1)
     if no_source.any():
@@ -321,19 +324,20 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     by_target = np.ascontiguousarray(raw_mask.transpose(2, 0, 1))
     needs_fill = ~by_target.all(axis=2)
     for k in range(len(panel.target_ids)):
-        shape_c = resolve_shape_c(pairwise_distances(coords[native[:, k]], metric), config)
+        nat = np.flatnonzero(native[:, k])
+        shape_c = resolve_shape_c(dists[np.ix_(nat, nat)], config)
         hours: dict[bytes, list[int]] = {}
         for t in np.flatnonzero(needs_fill[k]):
             hours.setdefault(by_target[k, t].tobytes(), []).append(t)
         for ts in hours.values():
             available = by_target[k, ts[0]]
             rows = np.array(ts)[:, np.newaxis]
-            src = coords[available]
-            a = assemble_coefficient_matrix(pairwise_distances(src, metric),
+            src, query = np.flatnonzero(available), np.flatnonzero(~available)
+            a = assemble_coefficient_matrix(dists[np.ix_(src, src)],
                                             replace(config, shape_c=shape_c))
-            w = _solve_refined(_factor(a), a, values[rows, available, k])
-            basis = gaussian_rbf(cross_distances(coords[~available], src, metric), shape_c)
-            values[rows, ~available, k] = _matvecs(basis, w)
+            w = _solve_refined(_factor(a), a, values[rows, src, k])
+            basis = gaussian_rbf(dists[np.ix_(query, src)], shape_c)
+            values[rows, query, k] = _matvecs(basis, w)
 
     fused = FusionMatrix(
         timestamps=list(panel.timestamps),

@@ -31,17 +31,21 @@ def _fmt(value: float, spec: str = FULL) -> str:
 
 
 def write_fused_csv(fused: FusionMatrix, path) -> None:
-    """Long format: timestamp,station_id,target_id,value,provenance."""
+    """Long format: timestamp,station_id,target_id,value,provenance.
+
+    Written one hour at a time from plain Python lists; ``"%.17g" %`` gives
+    the same text as ``FULL`` for every float.
+    """
     fused.validate()
+    keys = [f",{sid},{tid}," for sid in fused.station_ids for tid in fused.target_ids]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FUSED_HEADER) + "\n")
         for t, ts in enumerate(fused.timestamps):
             stamp = ts.isoformat(timespec="minutes")
-            for s, sid in enumerate(fused.station_ids):
-                for k, tid in enumerate(fused.target_ids):
-                    tag = "raw" if fused.raw_mask[t, s, k] else "fused"
-                    fh.write(f"{stamp},{sid},{tid},"
-                             f"{_fmt(fused.values[t, s, k])},{tag}\n")
+            values = fused.values[t].ravel().tolist()
+            raw = fused.raw_mask[t].ravel().tolist()
+            fh.write("".join([stamp + key + "%.17g" % v + (",raw\n" if r else ",fused\n")
+                              for key, v, r in zip(keys, values, raw)]))
 
 
 def read_fused_csv(path) -> FusionMatrix:

@@ -18,6 +18,14 @@ target, with Adam and best-validation parameter selection. Multi-step
 forecasts at inference iterate the one-step model, writing each prediction
 back into the window's predicted channel while exogenous channels hold their
 last value.
+
+The rollout streams: each step shifts the window by one column, so after
+the first step (the full forward) every layer has one new output column. It
+keeps each gated temporal conv's last f_t - 1 input columns and the head's
+last head_time_steps - 1 (nothing for the graph conv, ReLU and fc); a later
+step runs each layer on those plus the new column. The matmuls then run over
+fewer rows, so BLAS may sum in another order, and later steps can differ
+from a full forward on the shifted window in the last bits.
 """
 
 from __future__ import annotations
@@ -160,10 +168,16 @@ class STConvBlock:
         self.graph = GraphConv(config.graph_kernel, c1, c2, rng)
         self.temporal_out = TemporalGatedConv(config.time_kernel, c2, c3, rng)
 
+    def stages(self, basis: np.ndarray) -> list:
+        """This block's layers in order; see ``StgcnModel.stages``."""
+        return [(self.temporal_in.f - 1, self.temporal_in.forward),
+                (0, lambda h: tz.relu(self.graph.forward(h, basis))),
+                (self.temporal_out.f - 1, self.temporal_out.forward)]
+
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
-        h = self.temporal_in.forward(x)
-        h = tz.relu(self.graph.forward(h, basis))
-        return self.temporal_out.forward(h)
+        for _, layer in self.stages(basis):
+            x = layer(x)
+        return x
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -209,29 +223,49 @@ class StgcnModel:
             raise ShapeError(
                 f"graph operator is {op.matrix.shape}, model has {n} nodes")
 
+    def _check_inputs(self, shape: tuple[int, ...], op: GraphOperator) -> np.ndarray:
+        """Check (B, P, S, K) windows and the operator; return the graph basis."""
+        cfg = self.config
+        if len(shape) != 4 or shape[1:] != (cfg.history_steps, cfg.n_nodes,
+                                            cfg.in_channels):
+            raise ShapeError(
+                f"expected windows (B, {cfg.history_steps}, {cfg.n_nodes}, "
+                f"{cfg.in_channels}), got {shape}")
+        self._check_operator(op)
+        return GraphConv.basis(op.matrix, cfg.graph_mode, cfg.graph_kernel)
+
+    def stages(self, basis: np.ndarray, training: bool = False, rng=None) -> list:
+        """The model's layers in order, as (context, layer) pairs.
+
+        Each layer maps a (B, S, T, C) input to T - context time steps (the
+        fc, last, to (B, S, 1)). ``forward`` runs them on the whole window;
+        the streaming rollout runs them on each layer's last ``context``
+        input columns plus one new column. Only here is the order declared.
+        """
+        cfg = self.config
+
+        def drop(h):
+            return tz.dropout(h, cfg.dropout, training, rng)
+
+        def fc(h):                                   # (B, S, 1, c3) -> (B, S, 1)
+            h = tz.reshape(h, (h.shape[0], cfg.n_nodes, cfg.channels[2]))
+            return tz.add(tz.matmul(h, self.fc_weight), self.fc_bias)
+
+        return (self.block1.stages(basis) + [(0, drop)]
+                + self.block2.stages(basis) + [(0, drop)]
+                + [(self.head_temporal.f - 1, self.head_temporal.forward), (0, fc)])
+
     def forward(self, windows, op: GraphOperator, training: bool = False,
                 rng=None) -> Tensor:
         """(B, P, S, K) windows -> (B, S, 1) next-step predictions."""
         x = windows if isinstance(windows, Tensor) else Tensor(windows)
-        cfg = self.config
-        if x.ndim != 4 or x.shape[1:] != (cfg.history_steps, cfg.n_nodes,
-                                          cfg.in_channels):
-            raise ShapeError(
-                f"expected windows (B, {cfg.history_steps}, {cfg.n_nodes}, "
-                f"{cfg.in_channels}), got {x.shape}")
-        self._check_operator(op)
-        if training and cfg.dropout > 0.0 and rng is None:
+        basis = self._check_inputs(x.shape, op)
+        if training and self.config.dropout > 0.0 and rng is None:
             raise ValidationError("training forward with dropout needs an rng")
-
-        basis = GraphConv.basis(op.matrix, cfg.graph_mode, cfg.graph_kernel)
         h = tz.swap_axes(x, 1, 2)                    # (B, S, P, K)
-        h = self.block1.forward(h, basis)
-        h = tz.dropout(h, cfg.dropout, training, rng)
-        h = self.block2.forward(h, basis)
-        h = tz.dropout(h, cfg.dropout, training, rng)
-        h = self.head_temporal.forward(h)            # (B, S, 1, c3)
-        h = tz.reshape(h, (x.shape[0], cfg.n_nodes, cfg.channels[2]))
-        return tz.add(tz.matmul(h, self.fc_weight), self.fc_bias)
+        for _, layer in self.stages(basis, training, rng):
+            h = layer(h)
+        return h
 
 
 def l2_loss(pred: Tensor, target) -> Tensor:
@@ -399,10 +433,13 @@ def predict(model: StgcnModel, window: np.ndarray, op: GraphOperator,
 def predict_batch(model: StgcnModel, windows: np.ndarray, op: GraphOperator,
                   horizon: int, predicted_channel: int,
                   batch_size: int = 256) -> np.ndarray:
-    """Vectorized rollout over (N, P, S, K) windows. Returns (N, horizon, S)."""
+    """Streaming rollout over (N, P, S, K) windows. Returns (N, horizon, S).
+
+    The first step is one full forward; later steps compute only each
+    layer's newest time column (see the module docstring).
+    """
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 4:
-        raise ShapeError(f"expected (N, P, S, K) windows, got {windows.shape}")
+    stages = model.stages(model._check_inputs(windows.shape, op))
     if np.isnan(windows).any():
         raise ValidationError("forecast windows contain missing values")
     if horizon < 1:
@@ -415,13 +452,23 @@ def predict_batch(model: StgcnModel, windows: np.ndarray, op: GraphOperator,
     n = windows.shape[0]
     out = np.empty((n, horizon, windows.shape[2]))
     for lo in range(0, n, batch_size):
-        block = windows[lo:lo + batch_size].copy()
-        for step in range(horizon):
-            pred = model.forward(block, op).data[:, :, 0]    # (B, S)
-            out[lo:lo + block.shape[0], step] = pred
-            nxt = block[:, -1].copy()                        # hold exogenous channels
-            nxt[:, :, predicted_channel] = pred
-            block = np.concatenate([block[:, 1:], nxt[:, np.newaxis]], axis=1)
+        block = windows[lo:lo + batch_size]
+        h = np.swapaxes(block, 1, 2)                         # (B, S, P, K)
+        tails = []
+        for context, layer in stages:
+            tails.append(h[:, :, h.shape[2] - context:].copy() if context else None)
+            h = layer(h).data
+        out[lo:lo + block.shape[0], 0] = h[:, :, 0]
+        nxt = block[:, -1].copy()                            # hold exogenous channels
+        for step in range(1, horizon):
+            nxt[:, :, predicted_channel] = h[:, :, 0]
+            h = nxt[:, :, np.newaxis]                        # (B, S, 1, K)
+            for i, (context, layer) in enumerate(stages):
+                if context:
+                    h = np.concatenate([tails[i], h], axis=2)
+                    tails[i] = h[:, :, 1:]
+                h = layer(h).data
+            out[lo:lo + block.shape[0], step] = h[:, :, 0]
     return out
 
 

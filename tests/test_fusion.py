@@ -237,10 +237,13 @@ def test_fuse_panel_rows_equal_one_hour_fusion_at_sixty_stations():
                                     stations_per_source=(20, 20, 20),
                                     targets_per_source=(2, 3, 2)))
     panel = scenario.panel
-    fused = fuse_panel(panel)
-    for t in range(panel.values.shape[0]):
-        step = fuse_time_step(panel.values[t], panel.stations, panel.target_ids)
-        assert np.array_equal(fused.values[t], step), t
+    for metric in ("euclidean", "haversine_km"):
+        config = RbfConfig(distance_metric=metric)
+        fused = fuse_panel(panel, config)
+        for t in range(panel.values.shape[0]):
+            step = fuse_time_step(panel.values[t], panel.stations, panel.target_ids,
+                                  config)
+            assert np.array_equal(fused.values[t], step), (metric, t)
 
 
 def test_refinement_rows_equal_one_row_solves(monkeypatch):

@@ -57,6 +57,25 @@ def test_fused_writer_is_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_fused_writer_matches_per_cell_format(tmp_path):
+    values = np.array([[[-0.0, 3.0], [1e-300, 1e300], [0.1, -2.5e-7]],
+                       [[np.pi, -1.0], [2.0 ** -1074, 1 / 3], [123456789.125, -0.1]]])
+    mask = np.array([[[True, False], [False, True], [True, True]],
+                     [[False, False], [True, False], [False, True]]])
+    fused = FusionMatrix([datetime(2017, 3, 1) + i * HOUR for i in range(2)],
+                         ["s0", "s1", "s2"], ["t0", "t1"], values, mask)
+    lines = ["timestamp,station_id,target_id,value,provenance\n"]
+    for t, ts in enumerate(fused.timestamps):
+        for s, sid in enumerate(fused.station_ids):
+            for k, tid in enumerate(fused.target_ids):
+                tag = "raw" if mask[t, s, k] else "fused"
+                lines.append(f"{ts:%Y-%m-%dT%H:%M},{sid},{tid},{values[t, s, k]:.17g},{tag}\n")
+    path = tmp_path / "fused.csv"
+    write_fused_csv(fused, path)
+    assert path.read_bytes() == "".join(lines).encode()
+    assert b",-0,raw\n" in path.read_bytes()
+
+
 def test_fused_reader_errors(tmp_path):
     path = tmp_path / "fused.csv"
     path.write_text("wrong,header\n")

@@ -352,27 +352,72 @@ def test_train_config_errors():
         train(model, ds, cheb, TrainConfig(epochs=2))
 
 
-class _PersistenceStub:
-    """Duck-typed stand-in whose forecast is the last value of one channel."""
+def _reference_rollout(model, windows, op, horizon, predicted_channel):
+    """The rollout as a loop of full forwards on the shifted window."""
+    block, out = windows.copy(), []
+    for _ in range(horizon):
+        pred = model.forward(block, op).data[:, :, 0]
+        out.append(pred)
+        nxt = block[:, -1].copy()
+        nxt[:, :, predicted_channel] = pred
+        block = np.concatenate([block[:, 1:], nxt[:, np.newaxis]], axis=1)
+    return np.stack(out, axis=1)
 
-    def __init__(self, config, channel):
-        self.config = config
-        self.channel = channel
 
-    def forward(self, windows, op, training=False, rng=None):
-        data = windows if isinstance(windows, np.ndarray) else windows.data
-        return Tensor(data[:, -1, :, self.channel][..., np.newaxis])
+# Streaming matmuls run over fewer rows than a full forward's, so BLAS may
+# sum in another order; float64 rounding stays far inside this bound.
+ROLLOUT_RTOL = 1e-12
+
+
+def _assert_rollout_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= ROLLOUT_RTOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("time_kernel", [1, 2, 3])
+@pytest.mark.parametrize("mode,order", [("chebyshev", 1), ("chebyshev", 2),
+                                        ("chebyshev", 3), ("first_order", 1)])
+def test_streaming_rollout_matches_full_forward_loop(mode, order, time_kernel):
+    # history 9 leaves a head of width 9, 5 and 1 for kernels 1, 2 and 3.
+    config = ModelConfig(n_nodes=4, in_channels=3, history_steps=9,
+                         channels=(4, 3, 4), time_kernel=time_kernel,
+                         graph_kernel=order, graph_mode=mode, dropout=0.3)
+    model = StgcnModel(config, seed=40)
+    cheb, ren = operators(4, seed=41)
+    op = cheb if mode == "chebyshev" else ren
+    rng = np.random.default_rng(42)
+    for n in (1, 300):                       # 300 crosses the batch split of 256
+        windows = rng.normal(size=(n, 9, 4, 3))
+        ref = _reference_rollout(model, windows, op, 4, predicted_channel=1)
+        for horizon in range(1, 5):
+            got = predict_batch(model, windows, op, horizon, predicted_channel=1)
+            # The first step is one full forward, bit for bit.
+            assert np.array_equal(got[:, 0], ref[:, 0])
+            _assert_rollout_close(got, ref[:, :horizon])
 
 
 def test_rollout_holds_exogenous_and_feeds_back():
-    config = tiny_config(n_nodes=3, in_channels=2)
-    stub = _PersistenceStub(config, channel=0)
+    # Step 2 is the one-step model on the window shifted by one column whose
+    # new column repeats the last exogenous value and carries step 1's
+    # forecast in the predicted channel. Getting either part of that column
+    # wrong moves the forecast far outside the bound.
+    model = StgcnModel(tiny_config(), seed=43)
     cheb, _ = operators(3, seed=21)
     window = np.random.default_rng(22).normal(size=(6, 3, 2))
-    out = predict(stub, window, cheb, horizon=4, predicted_channel=0)
-    assert out.shape == (4, 3)
-    # A persistence stub fed back into its own input stays constant.
-    assert np.allclose(out, np.broadcast_to(window[-1, :, 0], (4, 3)))
+    out = predict(model, window, cheb, horizon=2, predicted_channel=0)
+
+    def second_step(new_column):
+        shifted = np.concatenate([window[1:], new_column[np.newaxis]])
+        return model.forward(shifted[np.newaxis], cheb).data[0, :, 0]
+
+    held = window[-1].copy()
+    held[:, 0] = out[0]
+    _assert_rollout_close(out[1], second_step(held))
+    not_fed_back = window[-1]
+    not_held = held.copy()
+    not_held[:, 1] = 0.0
+    for wrong in (not_fed_back, not_held):
+        assert np.abs(out[1] - second_step(wrong)).max() > 1e-6
 
 
 def test_predict_validation():

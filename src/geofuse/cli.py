@@ -174,10 +174,14 @@ def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
         raise TrainingError("training split is empty")
     train_rows = min(fused.values.shape[0], n_train - 1 + p + q)
     norm = fit_normalization(fused.values, fused.target_ids, train_rows)
-    normed = apply_normalization(fused.values, norm)
-    dataset = make_windows(normed, fused.station_ids, fused.target_ids,
-                           p, q, config.predicted_target, config.split)
-    return dataset, norm
+    return _windows(fused, norm, p, q, config.predicted_target, config.split), norm
+
+
+def _windows(fused: FusionMatrix, norm: NormalizationParams, history: int,
+             horizon: int, predicted: str, split):
+    """The normalized fused panel cut into (history, horizon) windows."""
+    return make_windows(apply_normalization(fused.values, norm), fused.station_ids,
+                        fused.target_ids, history, horizon, predicted, split)
 
 
 def _fit(fused: FusionMatrix, op, config: PipelineConfig):
@@ -223,43 +227,27 @@ def _restore_context(fused: FusionMatrix, meta: dict):
     return norm, predicted, horizon, split
 
 
+def _metric_row(horizon, truth: np.ndarray, pred: np.ndarray) -> dict:
+    mp = mape(truth, pred)
+    return {"horizon": horizon, "mae": mae(truth, pred), "rmse": rmse(truth, pred),
+            "mape": mp.value, "mape_excluded": mp.excluded, "r2": r2(truth, pred)}
+
+
 def _metric_rows(truth: np.ndarray, pred: np.ndarray) -> list[dict]:
     """Per-horizon and pooled accuracy for (N, Q, S) truth/prediction pairs."""
-    rows = []
-    horizons = list(range(1, truth.shape[1] + 1))
-    for h in horizons:
-        mp = mape(truth[:, h - 1], pred[:, h - 1])
-        rows.append({
-            "horizon": h,
-            "mae": mae(truth[:, h - 1], pred[:, h - 1]),
-            "rmse": rmse(truth[:, h - 1], pred[:, h - 1]),
-            "mape": mp.value,
-            "mape_excluded": mp.excluded,
-            "r2": r2(truth[:, h - 1], pred[:, h - 1]),
-        })
-    mp = mape(truth, pred)
-    rows.append({
-        "horizon": "all",
-        "mae": mae(truth, pred),
-        "rmse": rmse(truth, pred),
-        "mape": mp.value,
-        "mape_excluded": mp.excluded,
-        "r2": r2(truth, pred),
-    })
-    return rows
+    return ([_metric_row(h + 1, truth[:, h], pred[:, h]) for h in range(truth.shape[1])]
+            + [_metric_row("all", truth, pred)])
 
 
-def _evaluate(model: StgcnModel, fused: FusionMatrix, op, norm, predicted: str,
-              horizon: int, split) -> list[dict]:
+def _evaluate(model: StgcnModel, dataset, op, norm: NormalizationParams) -> list[dict]:
+    """Accuracy of the model's rollout on the dataset's test windows."""
     with _phase(EXIT_EVALUATION):
-        normed = apply_normalization(fused.values, norm)
-        dataset = make_windows(normed, fused.station_ids, fused.target_ids,
-                               model.config.history_steps, horizon, predicted, split)
         test_x, test_y = dataset.part("test")
         if test_x.shape[0] == 0:
             raise ValidationError("test split is empty; nothing to evaluate")
-        k_pred = fused.target_ids.index(predicted)
-        pred_norm = predict_batch(model, test_x, op, horizon, k_pred)
+        predicted = dataset.predicted_target
+        pred_norm = predict_batch(model, test_x, op, dataset.horizon_steps,
+                                  dataset.target_ids.index(predicted))
         pred = invert_normalization(pred_norm, norm, predicted)
         truth = invert_normalization(test_y[..., 0], norm, predicted)
         return _metric_rows(truth, pred)
@@ -372,7 +360,10 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     fused, model, op, norm, predicted, horizon, split = _load_model_context(args)
-    rows = _evaluate(model, fused, op, norm, predicted, horizon, split)
+    with _phase(EXIT_EVALUATION):
+        dataset = _windows(fused, norm, model.config.history_steps, horizon,
+                           predicted, split)
+    rows = _evaluate(model, dataset, op, norm)
     out = _ensure_dir(args.out_dir)
     write_metrics_csv(rows, out / "metrics.csv")
     for row in rows:
@@ -418,11 +409,10 @@ def cmd_run_all(args) -> int:
                                          config.rbf.distance_metric)
     write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")
     op = _operator(adjacency.values, config.model.graph_mode)
-    model, result, _, norm = _fit(fused, op, config)
+    model, result, dataset, norm = _fit(fused, op, config)
     save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
     write_history_csv(result.history, out / "history.csv")
-    rows = _evaluate(model, fused, op, norm, config.predicted_target,
-                     config.horizon_steps, config.split)
+    rows = _evaluate(model, dataset, op, norm)
     write_metrics_csv(rows, out / "metrics.csv")
     with _phase(EXIT_EVALUATION):
         report = consistency_report(raw.values, fused.values, fused.target_ids)

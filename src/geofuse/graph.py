@@ -76,6 +76,8 @@ def build_adjacency(dists: np.ndarray, sigma: float | None = None) -> WeightedAd
 def _adjacency_matrix(adj) -> np.ndarray:
     m = adj.values if isinstance(adj, WeightedAdjacency) else adj
     m = _check_square(m, "adjacency")
+    if not np.isfinite(m).all():
+        raise ValidationError("adjacency weights must be finite")
     if (m < 0).any():
         raise ValidationError("adjacency weights must be non-negative")
     if not np.allclose(m, m.T):

@@ -1,11 +1,13 @@
-"""Station metadata and observation panels.
+"""Station metadata, the long-format CSV codec, and observation panels.
 
 Input is two CSV files: a station table (id, source, coordinates, native
 targets) and a long-format observation table keyed by timestamp, station and
-target. Observations land in a dense (time, station, target) panel on an
-hourly grid; NaN marks missing. Cleaning fills short interior gaps by linear
-interpolation, normalization is min-max fitted on the training rows only,
-and windowing cuts stride-1 history/horizon pairs with a chronological split.
+target. ``LongFormat`` reads and writes that format for observations.csv and
+fused.csv alike: one row rule, one hourly grid, one writer. Observations land
+in a dense (time, station, target) panel on the hourly grid; NaN marks
+missing. Cleaning fills short interior gaps by linear interpolation,
+normalization is min-max fitted on the training rows only, and windowing
+cuts stride-1 history/horizon pairs with a chronological split.
 """
 
 from __future__ import annotations
@@ -85,10 +87,13 @@ def target_order(stations: list[Station]) -> list[str]:
 
 
 def read_csv_rows(path, expected_header: tuple[str, ...]):
-    """Yield ``(line, fields)`` per row after a checked header, one at a time.
+    """Yield ``(line, fields)`` per non-blank row after a checked header.
 
-    The file must be UTF-8; bytes that do not decode are a ParseError.
+    Blank rows are skipped, and every other row must have as many fields as
+    the header. The file must be UTF-8; bytes that do not decode are a
+    ParseError.
     """
+    n_fields = len(expected_header)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -99,22 +104,25 @@ def read_csv_rows(path, expected_header: tuple[str, ...]):
                 raise ParseError(
                     f"expected header {','.join(expected_header)}, got {','.join(header)}",
                     line=1)
-            yield from enumerate(reader, start=2)
+            for line, fields in enumerate(reader, start=2):
+                if len(fields) != n_fields:
+                    if not fields:
+                        continue
+                    raise ParseError(f"expected {n_fields} fields, got {len(fields)}",
+                                     line=line)
+                yield line, fields
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}")
+    except csv.Error as exc:  # e.g. a stray quote that swallows the rest of the file
+        raise ParseError(f"{path}: {exc}", line=reader.line_num)
 
 
 def load_stations(path) -> list[Station]:
     stations: list[Station] = []
     seen: set[str] = set()
-    for line, fields in read_csv_rows(path, STATIONS_HEADER):
-        if not fields:
-            continue
-        if len(fields) != 5:
-            raise ParseError(f"expected 5 fields, got {len(fields)}", line=line)
-        sid, source_id, xs, ys, target_field = fields
+    for line, (sid, source_id, xs, ys, target_field) in read_csv_rows(path, STATIONS_HEADER):
         try:
             x, y = float(xs), float(ys)
         except ValueError:
@@ -154,71 +162,138 @@ def last_occurrences(keys: np.ndarray) -> np.ndarray:
     return keys.size - 1 - from_end
 
 
+def _stamp(ts: datetime) -> str:
+    return ts.isoformat(timespec="minutes")
+
+
+@dataclass(frozen=True)
+class LongFormat:
+    """A long-format CSV: one row per (hour, station, target) cell.
+
+    The fields are timestamp, station_id, target_id and value, then a tag
+    when ``tags`` lists the texts it may take. ``spec`` writes the values.
+    """
+
+    header: tuple[str, ...]
+    spec: str
+    tags: tuple[str, ...]
+
+    def read(self, path, cells):
+        """``(timestamps, station_ids, target_ids, values, codes)`` of a file.
+
+        ``values`` is (T, S, K) with NaN where no row gave a value, and
+        ``codes`` the (T, S, K) int8 index of each cell's tag. ``cells``
+        lists the allowed (station_id, target_id) pairs; ``None`` takes the
+        file's own pairs, and then every hour and cell must have a value.
+        Stations and targets keep their order of first appearance.
+
+        Row rule: a timestamp is parsed once per distinct text and must be
+        naive and on the hour; a value must be finite, and the empty field
+        is the only missing-value marker. Grid rule: the time axis is every
+        hour from the first to the last, and the later of two rows for one
+        cell wins. An error names its line, or the first missing hour or cell.
+        """
+        dense = cells is None
+        column = {pair: j for j, pair in enumerate(cells or ())}
+        tag_code = {tag: i for i, tag in enumerate(self.tags)}
+        hours: dict[str, int] = {}
+        hour_col, cell_col, vals, codes = array("q"), array("q"), array("d"), array("b")
+        isfinite, nan = math.isfinite, math.nan
+        for line, fields in read_csv_rows(path, self.header):
+            if tag_code:
+                stamp, sid, tid, text, tag = fields
+            else:
+                stamp, sid, tid, text = fields
+            hour = hours.get(stamp)
+            if hour is None:
+                hour = hours[stamp] = (_parse_timestamp(stamp, line) - datetime.min) // HOUR
+            j = column.get((sid, tid))
+            if j is None:
+                if dense:
+                    j = column[sid, tid] = len(column)
+                elif any(sid == known for known, _ in column):
+                    raise ValidationError(
+                        f"line {line}: station {sid!r} does not measure target {tid!r}")
+                else:
+                    raise ValidationError(f"line {line}: unknown station_id {sid!r}")
+            if text:
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ParseError(f"bad value {text!r}", line=line)
+                if not isfinite(value):
+                    raise ParseError(f"non-finite value {text!r}", line=line)
+            else:
+                value = nan
+            if tag_code:
+                code = tag_code.get(tag)
+                if code is None:
+                    raise ParseError(f"bad {self.header[4]} {tag!r}", line=line)
+                codes.append(code)
+            hour_col.append(hour)
+            cell_col.append(j)
+            vals.append(value)
+        if not vals:
+            raise ValidationError(f"{path} contains no observations (no data rows)")
+
+        seen = np.unique(np.fromiter(hours.values(), dtype=np.int64))
+        h0, n_hours = int(seen[0]), int(seen[-1] - seen[0]) + 1
+        if dense and seen.size < n_hours:  # checked before the grid is allocated
+            gap = datetime.min + (int(seen[:-1][np.diff(seen) > 1][0]) + 1) * HOUR
+            raise ValidationError(f"{path} has no rows for hour {_stamp(gap)}")
+        s_index = {sid: i for i, sid in enumerate(dict.fromkeys(sid for sid, _ in column))}
+        k_index = {tid: i for i, tid in enumerate(dict.fromkeys(tid for _, tid in column))}
+        offset = np.array([s_index[sid] * len(k_index) + k_index[tid] for sid, tid in column])
+        shape = (n_hours, len(s_index), len(k_index))
+        flat = ((np.frombuffer(hour_col, dtype=np.int64) - h0) * (shape[1] * shape[2])
+                + offset[np.frombuffer(cell_col, dtype=np.int64)])
+        last = last_occurrences(flat)
+        values = np.full(shape, np.nan)
+        values.reshape(-1)[flat[last]] = np.frombuffer(vals)[last]
+        grid_codes = np.zeros(shape, dtype=np.int8)
+        if tag_code:
+            grid_codes.reshape(-1)[flat[last]] = np.frombuffer(codes, dtype=np.int8)[last]
+        timestamps = [datetime.min + (h0 + i) * HOUR for i in range(n_hours)]
+        if dense and np.isnan(values).any():
+            t, s, k = np.unravel_index(np.argmax(np.isnan(values)), shape)
+            raise ValidationError(f"{path} has no value for {_stamp(timestamps[t])},"
+                                  f"{list(s_index)[s]},{list(k_index)[k]}")
+        return timestamps, list(s_index), list(k_index), values, grid_codes
+
+    def write(self, path, timestamps: list[datetime], cells, values: np.ndarray,
+              codes) -> None:
+        """Write (T, n) ``values`` an hour at a time, column j as the pair ``cells[j]``.
+
+        NaN is written as the empty field, and ``codes[t, j]`` picks a row's
+        tag. Rows follow the hours, then the columns.
+        """
+        keys = [f",{sid},{tid}," for sid, tid in cells]
+        ends = [f",{tag}\n" for tag in self.tags] or ["\n"]
+        if codes is None:
+            codes = np.zeros(values.shape, dtype=np.int8)
+        spec = self.spec
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(self.header) + "\n")
+            for t, ts in enumerate(timestamps):
+                stamp = _stamp(ts)
+                fh.write("".join([f"{stamp}{key}{spec % v if v == v else ''}{ends[c]}"
+                                  for key, v, c in zip(keys, values[t].tolist(),
+                                                       codes[t].tolist())]))
+
+
+OBSERVATIONS = LongFormat(OBSERVATIONS_HEADER, "%.6f", ())
+
+
 def load_observations(path, stations: list[Station]) -> ObservationPanel:
     """Read long-format observations into a dense hourly panel.
 
-    The time axis spans every hour from the earliest to the latest timestamp
-    seen, so gaps become NaN rows rather than silently shrinking the grid.
-    An empty value field is the only missing-value marker: ``nan``, ``inf``
-    and literals that overflow a float are rejected with a ParseError. When
-    a cell appears twice the later row wins.
+    Only the stations' native cells may appear, by the rules of
+    ``LongFormat.read``; hours without rows become NaN rows rather than
+    silently shrinking the grid.
     """
-    targets = target_order(stations)
-    k_index = {t: i for i, t in enumerate(targets)}
-    per_hour = len(stations) * len(targets)
-    # station id -> {native target -> offset of its cell within one hour}
-    cells = {st.id: {t: s * len(targets) + k_index[t] for t in st.targets}
-             for s, st in enumerate(stations)}
-    # Each row leaves a flat cell key (hours since datetime.min * per_hour +
-    # offset) and a value; a timestamp is parsed once per distinct text.
-    hours: dict[str, int] = {}
-    keys = array("q")
-    vals = array("d")
-    for line, fields in read_csv_rows(path, OBSERVATIONS_HEADER):
-        if not fields:
-            continue
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", line=line)
-        raw_ts, sid, tid, raw_val = fields
-        hour = hours.get(raw_ts)
-        if hour is None:
-            hour = hours[raw_ts] = (_parse_timestamp(raw_ts, line) - datetime.min) // HOUR
-        native = cells.get(sid)
-        if native is None:
-            raise ValidationError(f"line {line}: unknown station_id {sid!r}")
-        offset = native.get(tid)
-        if offset is None:
-            raise ValidationError(
-                f"line {line}: station {sid!r} does not measure target {tid!r}")
-        if raw_val == "":
-            value = math.nan
-        else:
-            try:
-                value = float(raw_val)
-            except ValueError:
-                raise ParseError(f"bad value {raw_val!r}", line=line)
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite value {raw_val!r}", line=line)
-        keys.append(hour * per_hour + offset)
-        vals.append(value)
-
-    if not keys:
-        raise ValidationError(f"{path} contains no observations")
-
-    h0 = min(hours.values())
-    n_steps = max(hours.values()) - h0 + 1
-    values = np.full((n_steps, len(stations), len(targets)), np.nan)
-    flat = np.array(keys) - h0 * per_hour
-    last = last_occurrences(flat)
-    values.reshape(-1)[flat[last]] = np.array(vals)[last]
-
-    t0 = datetime.min + h0 * HOUR
-    panel = ObservationPanel(
-        timestamps=[t0 + i * HOUR for i in range(n_steps)],
-        stations=list(stations),
-        target_ids=targets,
-        values=values,
-    )
+    timestamps, _, target_ids, values, _ = OBSERVATIONS.read(
+        path, [(st.id, t) for st in stations for t in st.targets])
+    panel = ObservationPanel(timestamps, list(stations), target_ids, values)
     panel.validate()
     return panel
 

@@ -1,5 +1,7 @@
 """Readers and writers for the pipeline's CSV artifacts.
 
+fused.csv is the observations' long format plus a provenance tag, so it is
+read and written by ``ingest.LongFormat`` under the same row and grid rules.
 Values that feed later stages (fused panel, adjacency) are written with 17
 significant digits so a float64 survives the round trip exactly; report
 files use a shorter human-oriented format. All writers emit rows in a fixed
@@ -9,7 +11,6 @@ order, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
-from array import array
 from datetime import datetime
 from pathlib import Path
 
@@ -17,13 +18,16 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .fusion import FusionMatrix
-from .ingest import last_occurrences, read_csv_rows
+from .ingest import OBSERVATIONS_HEADER, LongFormat
 from .metrics import ConsistencyReport
 from .stgcn import EpochStats
 
 FULL = "{:.17g}"
 SHORT = "{:.10g}"
 FUSED_HEADER = ("timestamp", "station_id", "target_id", "value", "provenance")
+# Provenance tags in code order: a row's code is its raw_mask bit.
+FUSED = LongFormat(FUSED_HEADER, "%.17g", ("fused", "raw"))
+FORECAST = LongFormat(OBSERVATIONS_HEADER, "%.10g", ())
 
 
 def _fmt(value: float, spec: str = FULL) -> str:
@@ -31,78 +35,22 @@ def _fmt(value: float, spec: str = FULL) -> str:
 
 
 def write_fused_csv(fused: FusionMatrix, path) -> None:
-    """Long format: timestamp,station_id,target_id,value,provenance.
-
-    Written one hour at a time from plain Python lists; ``"%.17g" %`` gives
-    the same text as ``FULL`` for every float.
-    """
+    """Long format: timestamp,station_id,target_id,value,provenance."""
     fused.validate()
-    keys = [f",{sid},{tid}," for sid in fused.station_ids for tid in fused.target_ids]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(FUSED_HEADER) + "\n")
-        for t, ts in enumerate(fused.timestamps):
-            stamp = ts.isoformat(timespec="minutes")
-            values = fused.values[t].ravel().tolist()
-            raw = fused.raw_mask[t].ravel().tolist()
-            fh.write("".join([stamp + key + "%.17g" % v + (",raw\n" if r else ",fused\n")
-                              for key, v, r in zip(keys, values, raw)]))
+    cells = [(sid, tid) for sid in fused.station_ids for tid in fused.target_ids]
+    n_hours = len(fused.timestamps)
+    FUSED.write(path, fused.timestamps, cells, fused.values.reshape(n_hours, -1),
+                fused.raw_mask.reshape(n_hours, -1))
 
 
 def read_fused_csv(path) -> FusionMatrix:
-    """Rebuild a FusionMatrix; the file must be dense over its own index sets.
+    """Rebuild a FusionMatrix by the observation rules of ``LongFormat.read``.
 
-    Each row is checked as it is read, so an error names the first faulty
-    line. When a cell appears twice the later row wins.
+    The file names its own stations and targets, and must give a value for
+    each of them at every hour from its first to its last.
     """
-    # Index of each distinct timestamp text, station and target, in order
-    # of first appearance; a timestamp is parsed once per distinct text.
-    t_index: dict[str, int] = {}
-    s_index: dict[str, int] = {}
-    k_index: dict[str, int] = {}
-    timestamps: list[datetime] = []
-    t_col, s_col, k_col = array("q"), array("q"), array("q")
-    vals, raw = array("d"), array("b")
-    for lineno, row in read_csv_rows(path, FUSED_HEADER):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
-        stamp, sid, tid, text, tag = row
-        t = t_index.get(stamp)
-        if t is None:
-            try:
-                timestamps.append(datetime.fromisoformat(stamp))
-            except ValueError:
-                raise ParseError(f"bad timestamp {stamp!r}", line=lineno)
-            t = t_index[stamp] = len(t_index)
-        if tag not in ("raw", "fused"):
-            raise ParseError(f"bad provenance {tag!r}", line=lineno)
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"bad value {text!r}", line=lineno)
-        t_col.append(t)
-        s_col.append(s_index.setdefault(sid, len(s_index)))
-        k_col.append(k_index.setdefault(tid, len(k_index)))
-        vals.append(value)
-        raw.append(tag == "raw")
-    if not vals:
-        raise ValidationError(f"{path} has no data rows")
-
-    shape = (len(timestamps), len(s_index), len(k_index))
-    flat = np.ravel_multi_index((t_col, s_col, k_col), shape)
-    last = last_occurrences(flat)
-    values = np.full(shape, np.nan)
-    mask = np.zeros(shape, dtype=bool)
-    values.reshape(-1)[flat[last]] = np.array(vals)[last]
-    mask.reshape(-1)[flat[last]] = np.array(raw, dtype=bool)[last]
-
-    order = np.argsort(np.array([ts.isoformat() for ts in timestamps]))
-    timestamps = [timestamps[i] for i in order]
-    fused = FusionMatrix(timestamps, list(s_index), list(k_index),
-                         values[order], mask[order])
-    fused.validate()
-    return fused
+    timestamps, station_ids, target_ids, values, codes = FUSED.read(path, None)
+    return FusionMatrix(timestamps, station_ids, target_ids, values, codes.astype(bool))
 
 
 def write_adjacency_csv(matrix: np.ndarray, station_ids: list[str], path) -> None:
@@ -124,6 +72,8 @@ def read_adjacency_csv(path) -> tuple[list[str], np.ndarray]:
         raise ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}")
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}")
     if not reader or reader[0][:1] != ["station_id"]:
         raise ParseError(f"{path}: expected station_id header", line=1)
     ids = reader[0][1:]
@@ -173,12 +123,7 @@ def write_forecast_csv(path, timestamps: list[datetime], station_ids: list[str],
         raise ValidationError(
             f"forecast shape {values.shape} does not match "
             f"({len(timestamps)}, {len(station_ids)})")
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,station_id,target_id,value\n")
-        for h, ts in enumerate(timestamps):
-            stamp = ts.isoformat(timespec="minutes")
-            for s, sid in enumerate(station_ids):
-                fh.write(f"{stamp},{sid},{target_id},{_fmt(values[h, s], SHORT)}\n")
+    FORECAST.write(path, timestamps, [(sid, target_id) for sid in station_ids], values, None)
 
 
 def write_report_csvs(report: ConsistencyReport, out_dir,

@@ -284,7 +284,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
-    loss_horizon: int = 1  # which horizon step supervises training
 
     def validate(self) -> None:
         if not 0 < self.lr < np.inf:
@@ -293,8 +292,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.loss_horizon < 1:
-            raise ConfigError(f"loss_horizon must be >= 1, got {self.loss_horizon}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -350,28 +347,22 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
           config: TrainConfig | None = None) -> TrainResult:
     """Adam training with a fixed shuffle seed and best-validation selection.
 
-    The supervision signal is horizon step ``loss_horizon`` (default 1, the
-    next step). Validation loss, MAE and RMSE are computed on the normalized
-    scale after every epoch; the parameters of the best validation epoch are
-    restored into the model before returning. Freed pages stay in the
-    process, up to 64 MiB (see ``_keep_freed_pages``).
+    The supervision signal is the first horizon step, the next hour.
+    Validation loss, MAE and RMSE are computed on the normalized scale after
+    every epoch; the parameters of the best validation epoch are restored
+    into the model before returning. Freed pages stay in the process, up to
+    64 MiB (see ``_keep_freed_pages``).
     """
     config = config or TrainConfig()
     config.validate()
     _keep_freed_pages()
-    if config.loss_horizon > dataset.horizon_steps:
-        raise ConfigError(
-            f"loss_horizon {config.loss_horizon} exceeds dataset horizon "
-            f"{dataset.horizon_steps}")
-    train_x, train_y_all = dataset.part("train")
-    val_x, val_y_all = dataset.part("val")
+    train_x, train_y = dataset.part("train")
+    val_x, val_y = dataset.part("val")
     if train_x.shape[0] == 0:
         raise TrainingError("training split is empty")
     if val_x.shape[0] == 0:
         raise TrainingError("validation split is empty; best-epoch selection needs it")
-    h = config.loss_horizon - 1
-    train_y = train_y_all[:, h]                  # (N, S, 1)
-    val_y = val_y_all[:, h]
+    train_y, val_y = train_y[:, 0], val_y[:, 0]  # (N, S, 1), the next hour
 
     model._check_operator(op)
     params = model.parameters()

@@ -20,7 +20,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import ObservationPanel, Station
+from .ingest import OBSERVATIONS, ObservationPanel, Station
 
 HOUR = timedelta(hours=1)
 _BUMPS = 3
@@ -248,15 +248,7 @@ def write_scenario_csvs(result: SynthResult, stations_path, observations_path) -
             fh.write(f"{st.id},{st.source_id},{st.x:.6f},{st.y:.6f},"
                      f"{'|'.join(st.targets)}\n")
     panel = result.panel
-    native = panel.native_mask()
-    with open(observations_path, "w", newline="") as fh:
-        fh.write("timestamp,station_id,target_id,value\n")
-        for t, ts in enumerate(panel.timestamps):
-            stamp = ts.isoformat(timespec="minutes")
-            for s, st in enumerate(panel.stations):
-                for k, tid in enumerate(panel.target_ids):
-                    if not native[s, k]:
-                        continue
-                    v = panel.values[t, s, k]
-                    text = "" if np.isnan(v) else f"{v:.6f}"
-                    fh.write(f"{stamp},{st.id},{tid},{text}\n")
+    s_idx, k_idx = np.nonzero(panel.native_mask())
+    cells = [(panel.stations[s].id, panel.target_ids[k]) for s, k in zip(s_idx, k_idx)]
+    OBSERVATIONS.write(observations_path, panel.timestamps, cells,
+                       panel.values[:, s_idx, k_idx], None)

@@ -12,7 +12,7 @@ requires a fresh tape.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError, TapeError
 
@@ -320,8 +320,10 @@ def _im2col(x: np.ndarray, f: int) -> np.ndarray:
     Each row holds f consecutive time steps back to back, matching the row
     order of a (f, C, C_out) kernel reshaped to (f C, C_out).
     """
-    windows = sliding_window_view(x, f, axis=-2)          # (..., T-f+1, C, f)
-    return np.swapaxes(windows, -1, -2).reshape(-1, f * x.shape[-1])
+    *lead, t, c = x.shape
+    windows = as_strided(x, (*lead, t - f + 1, f, c), x.strides[:-1] + x.strides[-2:],
+                         writeable=False)                 # (..., T-f+1, f, C)
+    return windows.reshape(-1, f * c)
 
 
 def _conv_forward(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -278,10 +278,20 @@ def test_unwritable_output_exits_1(pipeline, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_graph_errors_exit_5(pipeline, tmp_path):
+def test_graph_errors_exit_5(pipeline, tmp_path, capsys):
     code = main(["graph", "--stations", str(pipeline["stations"]),
                  "--out", str(tmp_path / "adj.csv"), "--sigma", "0.0"])
     assert code == 5
+    # An infinite weight between the first two stations, in both directions.
+    rows = [line.split(",") for line in pipeline["adjacency"].read_text().splitlines()]
+    rows[1][2] = rows[2][1] = "inf"
+    adjacency = tmp_path / "adj_inf.csv"
+    adjacency.write_text("".join(",".join(row) + "\n" for row in rows))
+    code = main(["predict", "--fused", str(pipeline["fused"]),
+                 "--adjacency", str(adjacency), "--model", str(pipeline["model"]),
+                 "--out", str(tmp_path / "f.csv")])
+    assert code == 5
+    assert "adjacency weights must be finite" in capsys.readouterr().err
 
 
 def test_training_errors_exit_6(pipeline, tmp_path, capsys):

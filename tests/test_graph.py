@@ -69,6 +69,11 @@ def test_adjacency_validation():
         build_adjacency(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValidationError):
         build_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=0.0)
+    # A symmetric non-finite pair is neither a usable weight nor an asymmetry.
+    for bad in (np.inf, np.nan):
+        for operator in (normalized_laplacian, renormalized_adjacency, scaled_laplacian):
+            with pytest.raises(ValidationError, match="weights must be finite"):
+                operator(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_two_node_laplacian_closed_form():

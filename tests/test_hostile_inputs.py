@@ -1,0 +1,142 @@
+"""Hostile CSV inputs through the command line end in a documented exit code.
+
+One field or row of a tiny scenario's observations.csv, fused.csv or
+adjacency.csv is changed; fuse, report, predict and evaluate then run
+through ``main`` against a model trained once for the module. ``main`` must
+return 0-7 and never raise. A fused.csv that breaks the observation rules
+exits 3, and a non-finite adjacency weight exits 5.
+"""
+
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from geofuse.cli import main
+
+CONFIG = """\
+predicted_target = t02
+history_steps = 6
+horizon_steps = 2
+channels = 4, 2, 4
+time_kernel = 2
+batch_size = 8
+epochs = 1
+seed = 1
+"""
+
+# Tokens that no fused.csv field may hold. Random text below has no decimal
+# digits, so it cannot be a timestamp, a station or a target of the scenario,
+# and no comma, quote or line break, which the listed tokens cover.
+BAD_TOKENS = ["", "inf", "-inf", "nan", "1e999", "abc", ",", '"', "\n",
+              "2017-01-01T00:30", "2017-01-01T00:00+05:00", "2017-01-03T00:00",
+              "s\udcff"]  # a lone surrogate, written as a byte that is not UTF-8
+TOKENS = (st.sampled_from(BAD_TOKENS)
+          | st.floats().map(repr)
+          | st.text(st.characters(exclude_categories=("Nd", "Cs"),
+                                  exclude_characters=',"\r\n'), max_size=6))
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    assert _quiet_main(["synth", "--out-dir", str(root), "--stations", "3,3",
+                        "--targets", "1,1", "--hours", "40", "--seed", "3"]) == 0
+    (root / "run.cfg").write_text(CONFIG)
+    (root / "out").mkdir()
+    (root / "mutated").mkdir()
+    paths = {name: root / name for name in ("stations.csv", "observations.csv",
+                                            "fused.csv", "adjacency.csv")}
+    assert _quiet_main(["fuse", "--stations", str(paths["stations.csv"]),
+                        "--observations", str(paths["observations.csv"]),
+                        "--out", str(paths["fused.csv"])]) == 0
+    assert _quiet_main(["graph", "--stations", str(paths["stations.csv"]),
+                        "--out", str(paths["adjacency.csv"])]) == 0
+    assert _quiet_main(["train", "--fused", str(paths["fused.csv"]),
+                        "--adjacency", str(paths["adjacency.csv"]),
+                        "--config", str(root / "run.cfg"),
+                        "--out-dir", str(root / "model")]) == 0
+    return root, paths
+
+
+def _number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _fused_field_is_valid(col: int, old: str, token: str) -> bool:
+    if token == old:
+        return True
+    if col == 3:
+        value = _number(token)
+        return value is not None and math.isfinite(value)
+    return col == 4 and token in ("raw", "fused")
+
+
+FILES = ("observations.csv", "fused.csv", "adjacency.csv")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(FILES), kind=st.sampled_from(["field", "delete", "duplicate"]),
+       row=st.integers(0, 10**4), col=st.integers(0, 10), token=TOKENS)
+@example(name="fused.csv", kind="field", row=7, col=3, token="inf")
+@example(name="fused.csv", kind="field", row=7, col=0, token="2017-01-01T00:00+05:00")
+@example(name="fused.csv", kind="field", row=1, col=0, token="2017-01-01T00:30")
+@example(name="adjacency.csv", kind="field", row=2, col=1, token="inf")
+def test_hostile_csv_ends_in_a_documented_exit_code(scenario, name, kind, row, col, token):
+    """``row`` and ``col`` pick a line and a field modulo their counts."""
+    root, paths = scenario
+    lines = paths[name].read_text().splitlines(keepends=True)
+    row %= len(lines)
+    if kind == "field":
+        fields = lines[row].rstrip("\n").split(",")
+        col %= len(fields)
+        old, fields[col] = fields[col], token
+        lines[row] = ",".join(fields) + "\n"
+    elif kind == "delete":
+        del lines[row]
+    else:
+        lines.insert(row, lines[row])
+    mutated = root / "mutated" / name
+    mutated.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    inputs = {key: str(mutated if key == name else path) for key, path in paths.items()}
+    out = root / "out"
+
+    codes = {
+        "fuse": _quiet_main(["fuse", "--stations", inputs["stations.csv"],
+                             "--observations", inputs["observations.csv"],
+                             "--out", str(out / "fused.csv")]),
+        "report": _quiet_main(["report", "--stations", inputs["stations.csv"],
+                               "--observations", inputs["observations.csv"],
+                               "--fused", inputs["fused.csv"], "--out-dir", str(out)]),
+        "predict": _quiet_main(["predict", "--fused", inputs["fused.csv"],
+                                "--adjacency", inputs["adjacency.csv"],
+                                "--model", str(root / "model" / "model.ckpt"),
+                                "--out", str(out / "forecast.csv")]),
+        "evaluate": _quiet_main(["evaluate", "--fused", inputs["fused.csv"],
+                                 "--adjacency", inputs["adjacency.csv"],
+                                 "--model", str(root / "model" / "model.ckpt"),
+                                 "--out-dir", str(out)]),
+    }
+    assert all(code in range(8) for code in codes.values()), codes
+
+    number = _number(token) if kind == "field" and row > 0 and col > 0 else None
+    if name == "fused.csv":
+        bad = (kind == "delete" or (kind == "duplicate" and row == 0)
+               or (kind == "field" and (row == 0 or not _fused_field_is_valid(col, old, token))))
+        if bad:
+            assert (codes["report"], codes["predict"], codes["evaluate"]) == (3, 3, 3), codes
+    elif name == "adjacency.csv" and number is not None and not math.isfinite(number):
+        assert (codes["predict"], codes["evaluate"]) == (5, 5), codes
+    elif name == "observations.csv" and col == 3 and row > 0 and number is not None \
+            and not math.isfinite(number):
+        assert (codes["fuse"], codes["report"]) == (3, 3), codes

@@ -122,6 +122,17 @@ def test_load_observations_errors(tmp_path):
         attempt("")
 
 
+def test_stray_quote_is_a_parse_error(tmp_path):
+    # An unclosed quote runs the field to the end of the file; past csv's
+    # field size limit that is a csv.Error, which must not escape.
+    stations = load_stations(write(tmp_path, "stations.csv", STATIONS_CSV))
+    rows = "".join(f"2017-01-01T00:00,s1,pm25,{i}.5\n" for i in range(8000))
+    path = write(tmp_path, "obs.csv", "timestamp,station_id,target_id,value\n"
+                 '2017-01-01T00:00,"s1,pm25,1.0\n' + rows)
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        load_observations(path, stations)
+
+
 def test_load_observations_memory_is_a_small_multiple_of_the_panel(tmp_path):
     # 60 stations, 300 hours, 2% gaps: about 42,000 rows. A reader that keeps
     # a Python tuple per row until the file ends peaks near 23 times the

@@ -108,6 +108,50 @@ def test_fused_reader_reports_first_faulty_line(tmp_path):
         read_fused_csv(path)
 
 
+def _fused_lines(tmp_path, t=4):
+    """A valid fused.csv of ``t`` hours (3 stations x 2 targets), as its lines."""
+    path = tmp_path / "fused.csv"
+    write_fused_csv(_toy_fused(t=t), path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_fused_reader_rejects_non_finite_values(tmp_path, value):
+    path, lines = _fused_lines(tmp_path)
+    fields = lines[3].split(",")
+    fields[3] = value
+    lines[3] = ",".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=f"line 4: non-finite value '{value}'"):
+        read_fused_csv(path)
+
+
+def test_fused_reader_rejects_offset_timestamps(tmp_path):
+    path, lines = _fused_lines(tmp_path)
+    path.write_text(lines[0] + "".join(line.replace(",", "+05:00,", 1) for line in lines[1:]))
+    with pytest.raises(ValidationError, match="line 2: .* must be naive"):
+        read_fused_csv(path)
+
+
+def test_fused_reader_rejects_off_hour_timestamps(tmp_path):
+    # Every row of the first hour moves to half past: the hours stay distinct.
+    path, lines = _fused_lines(tmp_path)
+    path.write_text("".join(line.replace("T00:00,", "T00:30,") for line in lines))
+    with pytest.raises(ValidationError, match="line 2: .* not on the hour"):
+        read_fused_csv(path)
+
+
+def test_fused_reader_names_the_first_missing_hour_and_cell(tmp_path):
+    path, lines = _fused_lines(tmp_path)
+    per_hour = 6
+    path.write_text("".join(lines[:1 + per_hour] + lines[1 + 2 * per_hour:]))
+    with pytest.raises(ValidationError, match="no rows for hour 2017-03-01T01:00"):
+        read_fused_csv(path)
+    path.write_text("".join(lines[:1 + per_hour + 3] + lines[1 + per_hour + 4:]))
+    with pytest.raises(ValidationError, match="no value for 2017-03-01T01:00,s1,t1"):
+        read_fused_csv(path)
+
+
 def test_fused_reader_memory_is_a_small_multiple_of_the_panel(tmp_path):
     # 300 hours x 60 stations x 7 targets: 126,000 rows. A reader that keeps
     # a Python object per row until the file ends peaks near 65 times the
@@ -171,6 +215,9 @@ def test_adjacency_reader_errors(tmp_path):
         read_adjacency_csv(path)
     path.write_bytes(b"station_id,a,b\na,0,1\nb,1,0\xff\n")
     with pytest.raises(ParseError, match="not UTF-8"):
+        read_adjacency_csv(path)
+    path.write_text('station_id,a,b\na,0,"1\n' + "b,1,0\n" * 30000)
+    with pytest.raises(ParseError, match="field larger than field limit"):
         read_adjacency_csv(path)
 
 

@@ -340,8 +340,6 @@ def test_train_config_errors():
     model = StgcnModel(config, seed=20)
     with pytest.raises(ConfigError, match="epochs"):
         train(model, ds, cheb, TrainConfig(epochs=0))
-    with pytest.raises(ConfigError, match="loss_horizon"):
-        train(model, ds, cheb, TrainConfig(epochs=1, loss_horizon=5))
     tiny = _smooth_dataset(t_total=10)
     tiny.n_val = 0  # force an empty validation split
     with pytest.raises(TrainingError, match="validation"):

@@ -16,16 +16,16 @@ rng = np.random.default_rng(3)
 a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 with Tape():
-    loss = gt.reduce_sum(gt.sigmoid(gt.matmul(a, b)))
+    loss = gt.reduce_sum(gt.relu(gt.matmul(a, b)))
 backward(loss)
 
 h = 1e-6
 i, j = 2, 1  # spot-check one element of a
 orig = a.data[i, j]
 a.data[i, j] = orig + h
-up = float(np.sum(1.0 / (1.0 + np.exp(-(a.data @ b.data)))))
+up = float(np.sum(np.maximum(a.data @ b.data, 0.0)))
 a.data[i, j] = orig - h
-down = float(np.sum(1.0 / (1.0 + np.exp(-(a.data @ b.data)))))
+down = float(np.sum(np.maximum(a.data @ b.data, 0.0)))
 a.data[i, j] = orig
 numeric = (up - down) / (2 * h)
 print(f"d loss / d a[{i},{j}]: tape {a.grad[i, j]:.8f}, "
@@ -49,16 +49,17 @@ for epoch in range(400):
     for p in params:
         p.grad = None
     with Tape():
-        hidden = gt.sigmoid(gt.add(gt.matmul(xt, w1), b1))
+        hidden = gt.relu(gt.add(gt.matmul(xt, w1), b1))
         pred = gt.add(gt.matmul(hidden, w2), b2)
         diff = gt.sub(pred, yt)
-        loss = gt.reduce_mean(gt.multiply_elementwise(diff, diff))
+        loss = gt.multiply_elementwise(
+            gt.reduce_sum(gt.multiply_elementwise(diff, diff)), 1.0 / len(x))
     backward(loss)
     opt.step()
     if epoch % 100 == 0 or epoch == 399:
         print(f"  epoch {epoch:3d}  mse {loss.item():.6f}")
 
-final = gt.add(gt.matmul(gt.sigmoid(gt.add(gt.matmul(xt, w1), b1)), w2), b2)
+final = gt.add(gt.matmul(gt.relu(gt.add(gt.matmul(xt, w1), b1)), w2), b2)
 residual = np.abs(final.data - y)
 print(f"max residual over the grid: {residual.max():.4f}")
 print("backward() releases each tape record as it walks past it, so memory")

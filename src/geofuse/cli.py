@@ -403,12 +403,12 @@ def cmd_run_all(args) -> int:
                                      config.max_gap_hours)
     _check_predicted_target(config, cleaned.target_ids)
     fused = _fuse(cleaned, config.rbf)
-    out = _ensure_dir(args.out_dir)
-    write_fused_csv(fused, out / "fused.csv")
     adjacency = _adjacency_from_stations(stations, config.sigma,
                                          config.rbf.distance_metric)
-    write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")
     op = _operator(adjacency.values, config.model.graph_mode)
+    out = _ensure_dir(args.out_dir)
+    write_fused_csv(fused, out / "fused.csv")
+    write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")
     model, result, dataset, norm = _fit(fused, op, config)
     save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
     write_history_csv(result.history, out / "history.csv")

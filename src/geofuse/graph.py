@@ -49,7 +49,8 @@ def build_adjacency(dists: np.ndarray, sigma: float | None = None) -> WeightedAd
     ``sigma`` defaults to the standard deviation of the off-diagonal
     distances. Degenerate geometries (all stations coincident, or a single
     station) fall back first to the mean off-diagonal distance and then to
-    1.0, which yields a uniform graph rather than a crash.
+    1.0, which yields a uniform graph rather than a crash. A graph of two or
+    more stations whose weights all underflow to 0 raises ``GraphError``.
     """
     d = _check_square(dists, "distance matrix")
     if not np.isfinite(d).all() or (d < 0).any():
@@ -67,10 +68,13 @@ def build_adjacency(dists: np.ndarray, sigma: float | None = None) -> WeightedAd
     elif not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
 
-    values = np.exp(-(d * d) / (sigma * sigma))
+    # A tiny sigma underflows sigma^2 to 0 and every weight with it; the
+    # edge check in _adjacency_matrix reports that instead of numpy warnings.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.exp(-(d * d) / (sigma * sigma))
     np.fill_diagonal(values, 0.0)
     values = (values + values.T) / 2.0  # exact symmetry against rounding
-    return WeightedAdjacency(values, float(sigma))
+    return WeightedAdjacency(_adjacency_matrix(values), float(sigma))
 
 
 def _adjacency_matrix(adj) -> np.ndarray:
@@ -84,6 +88,8 @@ def _adjacency_matrix(adj) -> np.ndarray:
         raise ValidationError("adjacency must be symmetric")
     if np.any(np.diag(m) != 0.0):
         raise ValidationError("adjacency diagonal must be zero (no self-loops)")
+    if m.shape[0] > 1 and not m.any():
+        raise GraphError("adjacency has no edge: every weight between two stations is 0")
     return m
 
 

@@ -7,6 +7,10 @@ record as it walks past it, so an intermediate value and its gradient are
 freed as soon as nothing later needs them and no step's graph outlives its
 backward pass. A tape can be walked once; building the next step's graph
 requires a fresh tape.
+
+The ops are the ones the STGCN records: ``add``, ``sub``,
+``multiply_elementwise``, ``matmul``, ``relu``, ``reshape``, ``swap_axes``,
+``reduce_sum``, ``gated_conv1d_time``, ``graph_conv`` and ``dropout``.
 """
 
 from __future__ import annotations
@@ -75,17 +79,11 @@ class Tensor:
     def __rmul__(self, other):
         return multiply_elementwise(other, self)
 
-    def __neg__(self):
-        return negate(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -163,15 +161,6 @@ def sub(a, b) -> Tensor:
     return _make_output(data, (a, b), backward_fn)
 
 
-def negate(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward_fn(g):
-        return (-g,)
-
-    return _make_output(-a.data, (a,), backward_fn)
-
-
 def multiply_elementwise(a, b) -> Tensor:
     """Hadamard product with broadcasting; used for gating and masking."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -215,16 +204,6 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
         return np.reciprocal(z, out=z)
 
 
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    out = _sigmoid_inplace(x.data.copy())
-
-    def backward_fn(g):
-        return (g * out * (1.0 - out),)
-
-    return _make_output(out, (x,), backward_fn)
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0
@@ -260,26 +239,6 @@ def swap_axes(x, axis_a: int, axis_b: int) -> Tensor:
     return _make_output(np.swapaxes(x.data, axis_a, axis_b), (x,), backward_fn)
 
 
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous window ``[start, stop)`` along one axis."""
-    x = _as_tensor(x)
-    ax = axis % x.ndim if x.ndim else 0
-    if x.ndim == 0:
-        raise ShapeError("slice_axis: cannot slice a scalar")
-    n = x.shape[ax]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_axis: window [{start}, {stop}) invalid for axis of length {n}")
-    index = tuple(slice(start, stop) if i == ax else slice(None) for i in range(x.ndim))
-    xshape = x.shape
-
-    def backward_fn(g):
-        full = np.zeros(xshape, dtype=np.float64)
-        full[index] = g
-        return (full,)
-
-    return _make_output(x.data[index].copy(), (x,), backward_fn)
-
-
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
@@ -295,23 +254,6 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, xshape).astype(np.float64, copy=True),)
 
     return _make_output(data, (x,), backward_fn)
-
-
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    count = x.size if axis is None else np.prod(
-        [x.shape[a % x.ndim] for a in (axis if isinstance(axis, tuple) else (axis,))])
-    return multiply_elementwise(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
-def _check_conv(op: str, x: Tensor, kernel: Tensor) -> None:
-    if kernel.ndim != 3:
-        raise ShapeError(f"{op}: kernel must be (f, C_in, C_out), got {kernel.shape}")
-    if x.ndim < 2 or x.shape[-1] != kernel.shape[1]:
-        raise ShapeError(f"{op}: input {x.shape} does not match kernel {kernel.shape}")
-    if x.shape[-2] < kernel.shape[0]:
-        raise ShapeError(
-            f"{op}: time axis {x.shape[-2]} shorter than kernel {kernel.shape[0]}")
 
 
 def _im2col(x: np.ndarray, f: int) -> np.ndarray:
@@ -346,32 +288,26 @@ def _conv_backward(x: np.ndarray, kernel: np.ndarray,
     return gx, gk
 
 
-def conv1d_time(x, kernel) -> Tensor:
-    """Valid 1-D convolution along the second-to-last axis.
-
-    ``x``: (..., T, C_in), ``kernel``: (f, C_in, C_out) -> (..., T-f+1, C_out).
-    Computed as one im2col matmul.
-    """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    _check_conv("conv1d_time", x, kernel)
-
-    def backward_fn(g):
-        return _conv_backward(x.data, kernel.data, g)
-
-    return _make_output(_conv_forward(x.data, kernel.data), (x, kernel), backward_fn)
-
-
 def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
     """GLU-gated valid convolution along the time axis, recorded as one op.
 
-    ``kernel``: (f, C_in, 2 C_out). With ``full = conv1d_time(x, kernel)`` the
-    result is ``(full[..., :C_out] + bias_lin) * sigmoid(full[..., C_out:] +
-    bias_gate)``, shape (..., T-f+1, C_out), and the gradients of all four
-    inputs come from one hand-written vector-Jacobian product.
+    ``x``: (..., T, C_in), ``kernel``: (f, C_in, 2 C_out). With ``full = sum_d
+    x[..., d:d+T-f+1, :] @ kernel[d]`` (one im2col matmul) the result is
+    ``(full[..., :C_out] + bias_lin) * expit(full[..., C_out:] + bias_gate)``,
+    shape (..., T-f+1, C_out); the gradients of all four inputs come from one
+    hand-written vector-Jacobian product.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     bias_lin, bias_gate = _as_tensor(bias_lin), _as_tensor(bias_gate)
-    _check_conv("gated_conv1d_time", x, kernel)
+    if kernel.ndim != 3:
+        raise ShapeError(
+            f"gated_conv1d_time: kernel must be (f, C_in, 2 C_out), got {kernel.shape}")
+    if x.ndim < 2 or x.shape[-1] != kernel.shape[1]:
+        raise ShapeError(
+            f"gated_conv1d_time: input {x.shape} does not match kernel {kernel.shape}")
+    if x.shape[-2] < kernel.shape[0]:
+        raise ShapeError(f"gated_conv1d_time: time axis {x.shape[-2]} shorter than "
+                         f"kernel {kernel.shape[0]}")
     width = kernel.shape[2]
     if width % 2:
         raise ShapeError(

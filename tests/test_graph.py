@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geofuse.errors import ValidationError
+from geofuse.errors import GraphError, ValidationError
 from geofuse.fusion import pairwise_distances
 from geofuse.synth import SynthConfig, generate
 from geofuse.graph import (
@@ -74,6 +74,12 @@ def test_adjacency_validation():
         for operator in (normalized_laplacian, renormalized_adjacency, scaled_laplacian):
             with pytest.raises(ValidationError, match="weights must be finite"):
                 operator(np.array([[0.0, bad], [bad, 0.0]]))
+    # Two or more stations with no edge: weights that underflow, or all zeros.
+    with pytest.raises(GraphError, match="no edge"):
+        build_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=1e-300)
+    for operator in (normalized_laplacian, renormalized_adjacency, scaled_laplacian):
+        with pytest.raises(GraphError, match="no edge"):
+            operator(np.zeros((3, 3)))
 
 
 def test_two_node_laplacian_closed_form():

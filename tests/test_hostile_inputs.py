@@ -4,12 +4,14 @@ One field or row of a tiny scenario's observations.csv, fused.csv or
 adjacency.csv is changed; fuse, report, predict and evaluate then run
 through ``main`` against a model trained once for the module. ``main`` must
 return 0-7 and never raise. A fused.csv that breaks the observation rules
-exits 3, and a non-finite adjacency weight exits 5.
+exits 3, and a non-finite adjacency weight exits 5. A station graph with no
+edge exits 5 without a warning.
 """
 
 import contextlib
 import io
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -140,3 +142,37 @@ def test_hostile_csv_ends_in_a_documented_exit_code(scenario, name, kind, row, c
     elif name == "observations.csv" and col == 3 and row > 0 and number is not None \
             and not math.isfinite(number):
         assert (codes["fuse"], codes["report"]) == (3, 3), codes
+
+
+def test_edgeless_graph_exits_5_quietly(scenario, tmp_path):
+    """A sigma whose weights all underflow, or an all-zero adjacency.csv, is no graph."""
+    root, paths = scenario
+    config = tmp_path / "tiny_sigma.cfg"
+    config.write_text(CONFIG + "sigma = 1e-300\n")
+    rows = [line.split(",") for line in paths["adjacency.csv"].read_text().splitlines()]
+    zero = tmp_path / "zero_adjacency.csv"
+    zero.write_text("".join(",".join(row[:1] + ["0"] * (len(row) - 1) if i else row) + "\n"
+                            for i, row in enumerate(rows)))
+    out = tmp_path / "out"
+    runs = {
+        "graph": ["--stations", str(paths["stations.csv"]), "--config", str(config),
+                  "--out", str(tmp_path / "adjacency.csv")],
+        "run-all": ["--stations", str(paths["stations.csv"]),
+                    "--observations", str(paths["observations.csv"]),
+                    "--config", str(config), "--out-dir", str(out)],
+        "train": ["--fused", str(paths["fused.csv"]), "--adjacency", str(zero),
+                  "--config", str(root / "run.cfg"), "--out-dir", str(out)],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command] + args)
+        assert code == 5, (command, err.getvalue())
+        assert [str(w.message) for w in caught] == [], command
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"geofuse {command}: "), lines
+        assert "no edge" in lines[0], lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "tiny_sigma.cfg", "zero_adjacency.csv"], command

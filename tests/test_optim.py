@@ -52,7 +52,8 @@ def test_adam_with_tape_fits_linear_map():
         with gt.Tape():
             pred = gt.matmul(gt.Tensor(x), w)
             diff = gt.sub(pred, gt.Tensor(y))
-            loss = gt.reduce_mean(gt.multiply_elementwise(diff, diff))
+            loss = gt.multiply_elementwise(
+                gt.reduce_sum(gt.multiply_elementwise(diff, diff)), 1.0 / diff.size)
         gt.backward(loss)
         opt.step()
         opt.zero_grad()

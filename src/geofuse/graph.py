@@ -50,7 +50,8 @@ def build_adjacency(dists: np.ndarray, sigma: float | None = None) -> WeightedAd
     distances. Degenerate geometries (all stations coincident, or a single
     station) fall back first to the mean off-diagonal distance and then to
     1.0, which yields a uniform graph rather than a crash. A graph of two or
-    more stations whose weights all underflow to 0 raises ``GraphError``.
+    more stations whose weights all underflow to 0 raises ``GraphError``, as
+    do distances and a sigma whose squares overflow.
     """
     d = _check_square(dists, "distance matrix")
     if not np.isfinite(d).all() or (d < 0).any():
@@ -59,20 +60,24 @@ def build_adjacency(dists: np.ndarray, sigma: float | None = None) -> WeightedAd
         raise ValidationError("distance matrix must be symmetric")
     n = d.shape[0]
     off = d[~np.eye(n, dtype=bool)]
-    if sigma is None:
-        sigma = float(np.std(off)) if off.size else 0.0
-        if sigma <= 0.0:
-            sigma = float(np.mean(off)) if off.size else 0.0
-        if sigma <= 0.0:
-            sigma = 1.0
-    elif not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-
     # A tiny sigma underflows sigma^2 to 0 and every weight with it; the
     # edge check in _adjacency_matrix reports that instead of numpy warnings.
+    # Distances and a sigma past about 1e154 overflow their squares into
+    # inf / inf = NaN, reported below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if sigma is None:
+            sigma = float(np.std(off)) if off.size else 0.0
+            if sigma <= 0.0:
+                sigma = float(np.mean(off)) if off.size else 0.0
+            if sigma <= 0.0:
+                sigma = 1.0
+        elif not sigma > 0:
+            raise ValidationError(f"sigma must be positive, got {sigma}")
         values = np.exp(-(d * d) / (sigma * sigma))
     np.fill_diagonal(values, 0.0)
+    if np.isnan(values).any():
+        raise GraphError(f"distances up to {d.max():.6g} with sigma {sigma:.6g} "
+                         "over- or underflow float64 when squared")
     values = (values + values.T) / 2.0  # exact symmetry against rounding
     return WeightedAdjacency(_adjacency_matrix(values), float(sigma))
 

@@ -3,7 +3,8 @@
 Accuracy: MAE, RMSE, MAPE (percent, near-zero truth excluded and counted)
 and the standard coefficient of determination. Consistency: per-target
 variance comparisons, cross-station variance trajectories, and Gaussian
-kernel density overlays with Silverman's bandwidth.
+kernel density overlays with Silverman's bandwidth, binned linearly before
+the kernel sum (Silverman 1982, Wand 1994).
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from scipy.integrate import trapezoid
 from .errors import ValidationError
 
 MAPE_EPS = 1e-8
-# Elements of the (grid rows, n) kernel block kde evaluates at a time: about
-# 512 KiB per temporary whatever the sample size, which fits in L2; 8 MiB
-# blocks made the 60-station report about 1.6 times slower.
+# Elements of the (grid rows, centres) kernel block kde evaluates at a time:
+# about 512 KiB per temporary whatever the sample size, which fits in L2;
+# 8 MiB blocks made the 60-station report about 1.6 times slower.
 KDE_BLOCK_ELEMENTS = 1 << 16
+# kde bins at spacing h / KDE_BIN_FRACTION; its error scales as that spacing squared.
+KDE_BIN_FRACTION = 16
 
 
 def _check_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
@@ -78,9 +81,11 @@ def silverman_bandwidth(values) -> float:
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size < 2:
         raise ValidationError(f"bandwidth rule needs >= 2 values, got {v.size}")
-    if not np.isfinite(v).all():
-        raise ValidationError("bandwidth rule needs finite values")
-    return 1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(v, ddof=1))
+    if not np.isfinite(std):
+        raise ValidationError("bandwidth rule needs finite values of finite spread")
+    return 1.06 * std * v.size ** (-0.2)
 
 
 def kde(values, grid=None, bandwidth: float | None = None,
@@ -88,10 +93,16 @@ def kde(values, grid=None, bandwidth: float | None = None,
     """Gaussian kernel density estimate.
 
     Returns (grid, density). With no explicit grid, one spanning the data
-    plus three bandwidths on each side is built. Constant data has zero
-    Silverman bandwidth: pass an explicit one. The kernel sum is evaluated a
-    block of grid rows at a time, so memory stays O(n + grid) while each
-    density equals the one-shot (grid, n) evaluation bit for bit.
+    plus three bandwidths on each side is built; an explicit grid may be
+    non-uniform and need not cover the data. Constant data has zero
+    Silverman bandwidth: pass an explicit one. The samples are binned
+    linearly at spacing delta = h/16 and the kernel sum runs over the
+    occupied centres, a block of grid rows at a time: O(n + grid * min(n,
+    span / delta)) time, O(n + grid) memory. Against the exact sum the error
+    is at most (delta/h)^2 / 8 of the kernel peak 1/(h sqrt(2 pi)) on any
+    data, and within 2e-4 of the curve's peak on the continuous data tested
+    (3.2e-4 on integer-valued data). Fewer samples than the centres they
+    would need are summed exactly.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0 or not np.isfinite(v).all():
@@ -100,16 +111,35 @@ def kde(values, grid=None, bandwidth: float | None = None,
     if not h > 0:
         raise ValidationError(
             "bandwidth must be positive; constant data needs an explicit bandwidth")
-    if grid is None:
-        grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, grid_size)
-    else:
+    # A kernel argument that overflows weighs exp(-inf) = 0, exactly; any
+    # other overflow leaves a grid point or density that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid is None:
+            grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, grid_size)
         grid = np.asarray(grid, dtype=np.float64)
-    sums = np.empty(grid.shape)
-    rows = max(1, KDE_BLOCK_ELEMENTS // v.size)
-    for lo in range(0, grid.size, rows):
-        z = (grid[lo:lo + rows, None] - v[None, :]) / h
-        sums[lo:lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
-    return grid, sums / (v.size * h * np.sqrt(2.0 * np.pi))
+        centres, weights = _linear_bins(v, h / KDE_BIN_FRACTION)
+        sums = np.empty(grid.shape)
+        rows = max(1, KDE_BLOCK_ELEMENTS // centres.size)
+        for lo in range(0, grid.size, rows):
+            z = (grid[lo:lo + rows, None] - centres[None, :]) / h
+            sums[lo:lo + rows] = (np.exp(-0.5 * z * z) * weights).sum(axis=1)
+        density = sums / (v.size * h * np.sqrt(2.0 * np.pi))
+    if not (np.isfinite(grid).all() and np.isfinite(density).all()):
+        raise ValidationError(f"kde grid or density overflows float64 (bandwidth {h:g})")
+    return grid, density
+
+
+def _linear_bins(v: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied centres at spacing delta with their mass, or v with unit mass."""
+    origin = v.min()
+    if not v.max() - origin < (v.size - 2) * delta:
+        return v, np.ones(v.size)
+    pos = (v - origin) / delta
+    idx = pos.astype(np.intp)
+    frac = pos - idx
+    mass = np.bincount(idx, 1.0 - frac, idx.max() + 2) + np.bincount(idx + 1, frac)
+    occupied = np.flatnonzero(mass)
+    return origin + delta * occupied, mass[occupied]
 
 
 def kde_l1_distance(grid, density_a, density_b) -> float:
@@ -167,6 +197,14 @@ def variance_report(raw: np.ndarray, fused: np.ndarray,
     """
     if raw.shape != fused.shape:
         raise ValidationError(f"raw {raw.shape} and fused {fused.shape} differ")
+    # Squared deviations are at most (2 |x|)^2: below this bound every
+    # variance, trajectory and bandwidth of the N values is finite.
+    bound = np.sqrt(np.finfo(np.float64).max / max(raw.size, 1)) / 2.0
+    largest = max(np.abs(raw).max(initial=0.0, where=~np.isnan(raw)),
+                  np.abs(fused).max(initial=0.0))
+    if not largest <= bound:
+        raise ValidationError(f"values must be finite and at most {bound:.3g} in magnitude, "
+                              f"got {largest:.3g}")
     report = {}
     for k, tid in enumerate(target_ids):
         raw_k, fused_k = raw[:, :, k], fused[:, :, k]

@@ -12,7 +12,7 @@ import pytest
 
 import geofuse.tensor as gt
 from geofuse.cli import main
-from geofuse.errors import ConfigError, ValidationError
+from geofuse.errors import ConfigError
 from geofuse.fusion import (
     RbfConfig,
     build_interpolant,

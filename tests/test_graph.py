@@ -1,5 +1,7 @@
 """Graph construction and spectral operators against dense eigensolver oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,13 @@ def test_adjacency_validation():
     for operator in (normalized_laplacian, renormalized_adjacency, scaled_laplacian):
         with pytest.raises(GraphError, match="no edge"):
             operator(np.zeros((3, 3)))
+    # Stations about 1e155 or more apart: d^2 / sigma^2 is inf / inf.
+    far = np.array([[0.0, 1e200, 2e200], [1e200, 0.0, 3e200], [2e200, 3e200, 0.0]])
+    for dists in (far[:2, :2], far):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=r"distances up to [0-9e+.]+ with sigma"):
+                build_adjacency(dists)
 
 
 def test_two_node_laplacian_closed_form():

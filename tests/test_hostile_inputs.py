@@ -5,7 +5,8 @@ adjacency.csv is changed; fuse, report, predict and evaluate then run
 through ``main`` against a model trained once for the module. ``main`` must
 return 0-7 and never raise. A fused.csv that breaks the observation rules
 exits 3, and a non-finite adjacency weight exits 5. A station graph with no
-edge exits 5 without a warning.
+edge exits 5 without a warning, and so does an observation too large for a
+float64 variance in ``report`` (exit 7).
 """
 
 import contextlib
@@ -13,10 +14,13 @@ import io
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geofuse.cli import main
+from geofuse.errors import ValidationError
+from geofuse.metrics import kde
 
 CONFIG = """\
 predicted_target = t02
@@ -176,3 +180,37 @@ def test_edgeless_graph_exits_5_quietly(scenario, tmp_path):
         assert "no edge" in lines[0], lines
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "tiny_sigma.cfg", "zero_adjacency.csv"], command
+
+
+def test_huge_observation_fails_the_report_quietly(scenario, tmp_path):
+    """One finite 1e200 reading: the variances would overflow, so report exits 7."""
+    _, paths = scenario
+    lines = paths["observations.csv"].read_text().splitlines(keepends=True)
+    fields = lines[5].rstrip("\n").split(",")
+    fields[3] = "1e200"
+    lines[5] = ",".join(fields) + "\n"
+    huge = tmp_path / "observations.csv"
+    huge.write_text("".join(lines))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["report", "--stations", str(paths["stations.csv"]),
+                     "--observations", str(huge), "--fused", str(paths["fused.csv"]),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 7, err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert "1e+200" in err.getvalue()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["observations.csv"]
+
+
+@pytest.mark.parametrize("values, bandwidth", [([0.0, 1e300], 1e-300),
+                                               ([-1e307, 1e307], None)])
+def test_kde_extreme_values_stay_finite_or_raise_quietly(values, bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid, density = kde(np.array(values), bandwidth=bandwidth)
+        except ValidationError:
+            return
+    assert np.isfinite(grid).all() and np.isfinite(density).all()

@@ -1,11 +1,14 @@
 """Error metrics, KDE diagnostics, and consistency reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
 from geofuse.errors import ValidationError
 from geofuse.metrics import (
+    KDE_BIN_FRACTION,
     consistency_report,
     kde,
     kde_l1_distance,
@@ -136,18 +139,57 @@ def test_kde_recovers_normal_density():
     assert np.max(np.abs(density - true_density)) < 0.05
 
 
+def _exact_kde(v, grid, h):
+    """The unbinned Gaussian sum over every sample, one grid point at a time."""
+    sums = [np.exp(-0.5 * ((g - v) / h) ** 2).sum() for g in grid]
+    return np.array(sums) / (v.size * h * np.sqrt(2.0 * np.pi))
+
+
 def test_kde_blocked_sum_equals_dense_formula():
-    # n = 20,000 spans several grid blocks; n = 3 fits in one.
+    # Binned: within 2e-4 of the exact curve's peak on five shapes, and within
+    # the interpolation bound (delta/h)^2 / 8 of the kernel peak on any data.
     rng = np.random.default_rng(7)
-    for n in (20_000, 3):
-        v = rng.normal(size=n)
-        grid = np.linspace(-4.0, 4.0, 256)
-        h = 0.3
-        z = (grid[:, None] - v[None, :]) / h
-        dense = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * np.sqrt(2.0 * np.pi))
-        got_grid, density = kde(v, grid, h)
-        assert np.array_equal(got_grid, grid)
-        assert np.array_equal(density, dense)
+    n = 20_000
+    normal = rng.normal(size=n)
+    outliers = rng.standard_t(2, size=n)
+    outliers[:4] = [-90.0, -40.0, 60.0, 150.0]
+    cases = {
+        "normal": (normal, None),
+        "bimodal": (np.concatenate([rng.normal(-3.0, 0.5, n // 2),
+                                    rng.normal(2.0, 1.0, n // 2)]), None),
+        "lognormal": (rng.lognormal(0.0, 1.0, size=n), None),
+        "student-t(2)": (outliers, None),
+        # Non-uniform, and the samples below -1 and above 2 lie outside it.
+        "grid": (normal, np.sort(np.concatenate([np.linspace(-1.0, 0.5, 50),
+                                                 rng.uniform(0.5, 2.0, 30)]))),
+    }
+    for name, (v, grid_in) in cases.items():
+        h = silverman_bandwidth(v)
+        grid, density = kde(v, grid_in)
+        exact = _exact_kde(v, grid, h)
+        err = np.max(np.abs(density - exact))
+        assert err <= 2e-4 * exact.max(), (name, err / exact.max())
+        assert err <= KDE_BIN_FRACTION ** -2 / 8 / (h * np.sqrt(2.0 * np.pi)), name
+    # Three samples would need as many bin centres: the exact sum, bit for bit.
+    v = rng.normal(size=3)
+    grid = np.linspace(-4.0, 4.0, 256)
+    z = (grid[:, None] - v[None, :]) / 0.3
+    dense = np.exp(-0.5 * z * z).sum(axis=1) / (3 * 0.3 * np.sqrt(2.0 * np.pi))
+    got_grid, density = kde(v, grid, 0.3)
+    assert np.array_equal(got_grid, grid)
+    assert np.array_equal(density, dense)
+
+
+def test_kde_memory_is_linear_in_the_samples():
+    v = np.random.default_rng(8).normal(size=1_000_000)
+    tracemalloc.start()
+    try:
+        kde(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A (256, n) kernel block would be 256 times the samples' bytes.
+    assert peak < 8 * v.nbytes, peak / v.nbytes
 
 
 def test_kde_l1_distance_limits():

@@ -4,18 +4,18 @@ Scattered station readings are fused into a dense (time, station, target)
 matrix: cells a station measured keep their raw value, every other cell is
 interpolated from the stations that did measure that target at that hour.
 
-The interpolant through N sources solves A w = b where
-A[i, j] = exp(-c * dist(i, j)^2) plus an optional diagonal ridge, and
-evaluates as F(q) = sum_j w_j * exp(-c * dist(q, j)^2). The Gaussian kernel
-makes A symmetric positive definite for distinct sources, so the solve goes
-through a Cholesky factorization with iterative refinement. A panel is fused
-with one factorization and one multi-right-hand-side solve per (target,
-availability pattern), and every hour keeps the bits of a one-hour fusion.
+The interpolant through N sources solves A w = b where A[i, j] =
+exp(-c * dist(i, j)^2) plus a diagonal ridge, and evaluates as F(q) = sum_j
+w_j * exp(-c * dist(q, j)^2). The Gaussian kernel makes A symmetric positive
+definite for distinct sources, so the solve is a Cholesky factorization with
+iterative refinement. A panel is fused with one kernel per target and one
+factorization and multi-right-hand-side solve per (target, availability
+pattern), and every hour keeps the bits of a one-hour fusion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -31,6 +31,11 @@ _METRICS = ("euclidean", "haversine_km")
 # (1 + ||b||_inf), else the system is reported as effectively singular.
 RESIDUAL_RTOL = 1e-8
 
+# Ridge when none is configured. A Gaussian Gram's diagonal is exp(0) = 1, so a
+# constant is relative to it: 1e-10 is far below RESIDUAL_RTOL, yet lifts a
+# nearly singular Gram's smallest eigenvalues well above rounding.
+DEFAULT_RIDGE = 1e-10
+
 
 @dataclass(frozen=True)
 class RbfConfig:
@@ -38,8 +43,8 @@ class RbfConfig:
 
     ``shape_c`` None means per-target auto-scaling: c = 1 / (2 * d_med^2)
     with d_med the median pairwise distance between that target's native
-    stations. ``ridge`` None means a tiny trace-scaled default; pass 0.0
-    explicitly for exact interpolation.
+    stations. ``ridge`` None means ``DEFAULT_RIDGE`` (1e-10 against the
+    kernel's unit diagonal); pass 0.0 explicitly for exact interpolation.
     """
 
     shape_c: float | None = None
@@ -117,42 +122,10 @@ def resolve_shape_c(dists: np.ndarray, config: RbfConfig) -> float:
     return 1.0 / (2.0 * d_med * d_med)
 
 
-def _resolve_ridge(n: int, trace: float, config: RbfConfig) -> float:
-    if config.ridge is not None:
-        return config.ridge
-    return 1e-10 * trace / n
-
-
-def assemble_coefficient_matrix(dists: np.ndarray, config: RbfConfig) -> np.ndarray:
-    """Kernel Gram matrix with the resolved ridge added to the diagonal."""
-    dists = np.asarray(dists, dtype=np.float64)
-    if dists.ndim != 2 or dists.shape[0] != dists.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got {dists.shape}")
-    config.validate()
-    c = resolve_shape_c(dists, config)
-    a = gaussian_rbf(dists, c)
-    ridge = _resolve_ridge(dists.shape[0], float(np.trace(a)), config)
-    if ridge:
-        a = a + ridge * np.eye(dists.shape[0])
-    return a
-
-
-def solve_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD system A w = b to the residual contract.
-
-    Cholesky plus iterative refinement. Raises SingularSystemError (with the
-    ridge suggestion) when the factorization fails or the refined residual
-    still exceeds the bound.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"coefficient matrix must be square, got {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise ValidationError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValidationError("coefficient matrix or rhs contains non-finite entries")
-    return _solve_refined(_factor(a), a, b[np.newaxis])[0]
+def _add_ridge(gram: np.ndarray, config: RbfConfig) -> np.ndarray:
+    """``gram`` with the configured ridge added to its diagonal, in place."""
+    gram.flat[::len(gram) + 1] += DEFAULT_RIDGE if config.ridge is None else config.ridge
+    return gram
 
 
 def _factor(a: np.ndarray) -> np.ndarray:
@@ -238,8 +211,9 @@ def build_interpolant(points: np.ndarray, values: np.ndarray,
         raise ValidationError("source values contain non-finite entries")
     dists = pairwise_distances(points, config.distance_metric)
     c = resolve_shape_c(dists, config)
-    a = assemble_coefficient_matrix(dists, replace(config, shape_c=c))
-    return RbfInterpolant(points, solve_weights(a, values), c, config.distance_metric)
+    a = _add_ridge(gaussian_rbf(dists, c), config)
+    weights = _solve_refined(_factor(a), a, values[np.newaxis])[0]
+    return RbfInterpolant(points, weights, c, config.distance_metric)
 
 
 def evaluate_interpolant(interp: RbfInterpolant, query_points: np.ndarray) -> np.ndarray:
@@ -301,10 +275,11 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     Hours are grouped by (target, availability pattern); each group gets one
     Cholesky factor, one query basis and one multi-right-hand-side solve, and
     each hour's values equal ``fuse_time_step`` on that hour, bit for bit.
-    One pairwise distance matrix over all stations is computed per call;
-    every target's auto shape, and each pattern's source and query blocks,
-    are taken from it. Raises FusionError for the earliest (hour, target)
-    with no source.
+    One pairwise distance matrix over all stations is computed per call, and
+    one kernel per target that has a cell to fill, at the shape its native
+    stations give; each pattern's Gram and query blocks are indexed out of
+    that kernel. Raises FusionError for the earliest (hour, target) with no
+    source.
     """
     config = config or RbfConfig()
     config.validate()
@@ -324,20 +299,20 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     by_target = np.ascontiguousarray(raw_mask.transpose(2, 0, 1))
     needs_fill = ~by_target.all(axis=2)
     for k in range(len(panel.target_ids)):
-        nat = np.flatnonzero(native[:, k])
-        shape_c = resolve_shape_c(dists[np.ix_(nat, nat)], config)
         hours: dict[bytes, list[int]] = {}
         for t in np.flatnonzero(needs_fill[k]):
             hours.setdefault(by_target[k, t].tobytes(), []).append(t)
+        if not hours:
+            continue
+        nat = np.flatnonzero(native[:, k])
+        kernel = gaussian_rbf(dists, resolve_shape_c(dists[np.ix_(nat, nat)], config))
         for ts in hours.values():
             available = by_target[k, ts[0]]
             rows = np.array(ts)[:, np.newaxis]
             src, query = np.flatnonzero(available), np.flatnonzero(~available)
-            a = assemble_coefficient_matrix(dists[np.ix_(src, src)],
-                                            replace(config, shape_c=shape_c))
+            a = _add_ridge(kernel[np.ix_(src, src)], config)
             w = _solve_refined(_factor(a), a, values[rows, src, k])
-            basis = gaussian_rbf(dists[np.ix_(query, src)], shape_c)
-            values[rows, query, k] = _matvecs(basis, w)
+            values[rows, query, k] = _matvecs(kernel[np.ix_(query, src)], w)
 
     fused = FusionMatrix(
         timestamps=list(panel.timestamps),

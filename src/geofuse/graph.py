@@ -131,10 +131,3 @@ def scaled_laplacian(adj) -> GraphOperator:
     lam = float(np.linalg.eigvalsh(lap)[-1])
     m = 2.0 * lap / lam - np.eye(lap.shape[0])
     return GraphOperator("scaled_laplacian", (m + m.T) / 2.0)
-
-
-def spectral_radius_bound(op: GraphOperator) -> float:
-    """Largest |eigenvalue| of a symmetric operator (diagnostic helper)."""
-    if not np.allclose(op.matrix, op.matrix.T):
-        raise GraphError("operator matrix must be symmetric")
-    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))

@@ -76,24 +76,13 @@ class ObservationPanel:
         return mask
 
 
-def target_order(stations: list[Station]) -> list[str]:
-    """Union of native targets in first-appearance order."""
-    order: list[str] = []
-    for st in stations:
-        for t in st.targets:
-            if t not in order:
-                order.append(t)
-    return order
-
-
 def read_csv_rows(path, expected_header: tuple[str, ...]):
-    """Yield ``(line, fields)`` per non-blank row after a checked header.
+    """Yield ``(line, fields)`` per row after a checked header.
 
-    Blank rows are skipped, and every other row must have as many fields as
-    the header. The file must be UTF-8; bytes that do not decode are a
-    ParseError.
+    The caller checks each row's field count where it unpacks the row, with
+    ``_width_error``, and skips blank rows. The file must be UTF-8; bytes
+    that do not decode are a ParseError.
     """
-    n_fields = len(expected_header)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -104,13 +93,7 @@ def read_csv_rows(path, expected_header: tuple[str, ...]):
                 raise ParseError(
                     f"expected header {','.join(expected_header)}, got {','.join(header)}",
                     line=1)
-            for line, fields in enumerate(reader, start=2):
-                if len(fields) != n_fields:
-                    if not fields:
-                        continue
-                    raise ParseError(f"expected {n_fields} fields, got {len(fields)}",
-                                     line=line)
-                yield line, fields
+            yield from enumerate(reader, start=2)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -119,10 +102,20 @@ def read_csv_rows(path, expected_header: tuple[str, ...]):
         raise ParseError(f"{path}: {exc}", line=reader.line_num)
 
 
+def _width_error(fields: list[str], header: tuple[str, ...], line: int) -> ParseError:
+    return ParseError(f"expected {len(header)} fields, got {len(fields)}", line=line)
+
+
 def load_stations(path) -> list[Station]:
     stations: list[Station] = []
     seen: set[str] = set()
-    for line, (sid, source_id, xs, ys, target_field) in read_csv_rows(path, STATIONS_HEADER):
+    for line, fields in read_csv_rows(path, STATIONS_HEADER):
+        try:
+            sid, source_id, xs, ys, target_field = fields
+        except ValueError:
+            if fields:
+                raise _width_error(fields, STATIONS_HEADER, line)
+            continue
         try:
             x, y = float(xs), float(ys)
         except ValueError:
@@ -200,10 +193,15 @@ class LongFormat:
         hour_col, cell_col, vals, codes = array("q"), array("q"), array("d"), array("b")
         isfinite, nan = math.isfinite, math.nan
         for line, fields in read_csv_rows(path, self.header):
-            if tag_code:
-                stamp, sid, tid, text, tag = fields
-            else:
-                stamp, sid, tid, text = fields
+            try:
+                if tag_code:
+                    stamp, sid, tid, text, tag = fields
+                else:
+                    stamp, sid, tid, text = fields
+            except ValueError:
+                if fields:
+                    raise _width_error(fields, self.header, line)
+                continue
             hour = hours.get(stamp)
             if hour is None:
                 hour = hours[stamp] = (_parse_timestamp(stamp, line) - datetime.min) // HOUR
@@ -298,39 +296,28 @@ def load_observations(path, stations: list[Station]) -> ObservationPanel:
     return panel
 
 
-def _fill_short_gaps(col: np.ndarray, max_gap: int) -> None:
-    """Linearly fill interior NaN runs of length <= max_gap, in place."""
-    missing = np.isnan(col)
-    if not missing.any() or missing.all():
-        return
-    n = len(col)
-    i = 0
-    while i < n:
-        if not missing[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and missing[j]:
-            j += 1
-        # Runs touching either boundary have only one anchor: leave them.
-        if i > 0 and j < n and (j - i) <= max_gap:
-            col[i:j] = np.interp(np.arange(i, j), [i - 1, j], [col[i - 1], col[j]])
-        i = j
-
-
 def clean_panel(panel: ObservationPanel, max_gap_hours: int = 3) -> ObservationPanel:
     """Fill short interior gaps per (station, target) series.
 
-    Gaps longer than ``max_gap_hours`` and gaps at either end of the series
-    stay missing; downstream windowing drops them. Idempotent.
+    A missing hour t between readings at hours p and n of its series is
+    filled when the gap, n - p - 1 hours, is at most ``max_gap_hours``, with
+    np.interp's arithmetic (v_n - v_p) / (n - p) * (t - p) + v_p. Gaps longer
+    than that and gaps at either end of the series stay missing; downstream
+    windowing drops them. Idempotent.
     """
     if max_gap_hours < 0:
         raise ConfigError(f"max_gap_hours must be >= 0, got {max_gap_hours}")
     values = panel.values.copy()
-    _, n_stations, n_targets = values.shape
-    for s in range(n_stations):
-        for k in range(n_targets):
-            _fill_short_gaps(values[:, s, k], max_gap_hours)
+    missing = np.isnan(values)
+    n_hours = values.shape[0]
+    hour = np.arange(n_hours).reshape(-1, 1, 1)
+    before = np.maximum.accumulate(np.where(missing, -1, hour), axis=0)
+    after = np.minimum.accumulate(np.where(missing, n_hours, hour)[::-1], axis=0)[::-1]
+    t, s, k = np.nonzero(missing & (before >= 0) & (after < n_hours)
+                         & (after - before <= max_gap_hours + 1))
+    p, n = before[t, s, k], after[t, s, k]
+    lo = values[p, s, k]
+    values[t, s, k] = (values[n, s, k] - lo) / (n - p) * (t - p) + lo
     return ObservationPanel(panel.timestamps, panel.stations, panel.target_ids, values)
 
 

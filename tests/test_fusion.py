@@ -11,8 +11,8 @@ from scipy.linalg import lapack
 import geofuse.fusion as gf
 from geofuse.errors import FusionError, SingularSystemError, ValidationError
 from geofuse.fusion import (
+    DEFAULT_RIDGE,
     RbfConfig,
-    assemble_coefficient_matrix,
     build_interpolant,
     cross_distances,
     evaluate_interpolant,
@@ -21,9 +21,8 @@ from geofuse.fusion import (
     gaussian_rbf,
     pairwise_distances,
     resolve_shape_c,
-    solve_weights,
 )
-from geofuse.ingest import ObservationPanel, Station, target_order
+from geofuse.ingest import ObservationPanel, Station
 from geofuse.synth import SynthConfig, generate
 from datetime import datetime, timedelta
 
@@ -98,22 +97,22 @@ def test_exactness_at_sources():
         assert np.max(np.abs(back - vals)) < 1e-8
 
 
-def test_solve_weights_matches_generic_solver():
+def test_build_interpolant_weights_match_generic_solver():
     rng = np.random.default_rng(61)
     for _ in range(10):
         n = int(rng.integers(2, 12))
         pts = rng.uniform(0, 4, size=(n, 2))
-        a = assemble_coefficient_matrix(pairwise_distances(pts), RbfConfig(ridge=1e-8))
         b = rng.normal(size=n)
-        w = solve_weights(a, b)
+        interp = build_interpolant(pts, b, RbfConfig(ridge=1e-8))
+        a = gaussian_rbf(pairwise_distances(pts), interp.shape_c) + 1e-8 * np.eye(n)
+        w = interp.weights
         assert np.allclose(w, np.linalg.solve(a, b), atol=1e-9)
-        assert np.max(np.abs(a @ w - b)) < 1e-8 * (1.0 + np.max(np.abs(b)))
-
-
-def test_solve_weights_rejects_non_finite_inputs():
-    for a, b in ((np.array([[np.nan]]), np.ones(1)), (np.eye(2), np.array([np.inf, 1.0]))):
+        assert np.max(np.abs(a @ w - b)) < gf.RESIDUAL_RTOL * (1.0 + np.max(np.abs(b)))
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    for points, values in ((pts, np.array([np.nan, 1.0])), (pts, np.array([np.inf, 1.0])),
+                           (np.array([[np.nan, 0.0], [1.0, 0.0]]), np.ones(2))):
         with pytest.raises(ValidationError, match="non-finite"):
-            solve_weights(a, b)
+            build_interpolant(points, values)
 
 
 def test_duplicate_points_singular_and_ridge_rescue():
@@ -125,14 +124,39 @@ def test_duplicate_points_singular_and_ridge_rescue():
     assert np.isfinite(interp.weights).all()
 
 
-def test_default_ridge_is_trace_scaled():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    a = assemble_coefficient_matrix(pairwise_distances(pts), RbfConfig(shape_c=1.0))
-    # Unit kernel diagonal, so trace/n = 1 and the default ridge is 1e-10.
-    assert np.allclose(np.diag(a), 1.0 + 1e-10)
-    a0 = assemble_coefficient_matrix(pairwise_distances(pts),
-                                     RbfConfig(shape_c=1.0, ridge=0.0))
-    assert np.all(np.diag(a0) == 1.0)
+def test_default_ridge_equals_explicit_constant():
+    assert DEFAULT_RIDGE == 1e-10
+    explicit = RbfConfig(ridge=1e-10)
+    rng = np.random.default_rng(65)
+    pts, vals = rng.uniform(0, 10, size=(12, 2)), rng.normal(0, 5, size=12)
+    default_fit = build_interpolant(pts, vals)
+    assert default_fit.weights.tobytes() == build_interpolant(pts, vals, explicit).weights.tobytes()
+    assert default_fit.weights.tobytes() != build_interpolant(
+        pts, vals, RbfConfig(ridge=0.0)).weights.tobytes()
+    panel = _toy_panel(missing={(2, "a", "t1"), (4, "b", "t2")})
+    assert fuse_panel(panel).values.tobytes() == fuse_panel(panel, explicit).values.tobytes()
+
+
+def test_fuse_panel_evaluates_one_kernel_per_target(monkeypatch):
+    # Two targets with gaps across several availability patterns: one kernel
+    # each. A target with nothing to fill evaluates none.
+    calls = []
+
+    def counted(dist, shape_c):
+        calls.append(np.shape(dist))
+        return gaussian_rbf(dist, shape_c)
+
+    monkeypatch.setattr(gf, "gaussian_rbf", counted)
+    panel = _toy_panel(missing={(1, "a", "t1"), (2, "d", "t1"), (4, "b", "t2")})
+    fuse_panel(panel)
+    assert calls == [(4, 4), (4, 4)]
+    calls.clear()
+    fuse_time_step(panel.values[1], panel.stations, panel.target_ids)
+    assert calls == [(4, 4)] * 2  # every hour has unmeasured cells of both targets
+    calls.clear()
+    stations = [make_station("a", 0.0, 0.0), make_station("b", 1.0, 0.0)]
+    fuse_panel(ObservationPanel(hourly(3), stations, ["t1"], np.ones((3, 2, 1))))
+    assert calls == []
 
 
 def test_shape_c_auto_resolution():
@@ -191,7 +215,7 @@ def _toy_panel(t_total=6, missing=()):
         make_station("c", 0.3, 0.8, targets=("t2",)),
         make_station("d", 0.9, 0.4, targets=("t1",)),
     ]
-    targets = target_order(stations)
+    targets = ["t1", "t2"]
     rng = np.random.default_rng(62)
     values = np.full((t_total, len(stations), len(targets)), np.nan)
     native = {("a", "t1"), ("b", "t1"), ("b", "t2"), ("c", "t2"), ("d", "t1")}
@@ -251,7 +275,8 @@ def test_refinement_rows_equal_one_row_solves(monkeypatch):
     # different numbers of refinement steps; a zero row needs none.
     rng = np.random.default_rng(64)
     pts = np.vstack([rng.uniform(0, 1, size=(10, 2)), [[0.5, 0.5], [0.5, 0.5 + 1e-3]]])
-    a = assemble_coefficient_matrix(pairwise_distances(pts), RbfConfig(ridge=0.0))
+    d = pairwise_distances(pts)
+    a = gaussian_rbf(d, resolve_shape_c(d, RbfConfig()))
     factor = gf._factor(a)
     b = rng.normal(size=(7, len(pts))) * np.logspace(-3, 5, 7)[:, None]
     b[3] = 0.0
@@ -272,7 +297,7 @@ def test_refinement_rows_equal_one_row_solves(monkeypatch):
     batch = gf._solve_refined(factor, a, b)
     for j, single in enumerate(singles):
         assert np.array_equal(batch[j], single), j
-    assert np.array_equal(solve_weights(a, b[0]), singles[0])
+    assert np.array_equal(build_interpolant(pts, b[0], RbfConfig(ridge=0.0)).weights, singles[0])
 
 
 def test_fuse_panel_near_duplicate_sources_without_ridge():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from geofuse.errors import ConfigError, ParseError, ValidationError
+from geofuse.io import FUSED
 from geofuse.ingest import (
     ObservationPanel,
     Station,
@@ -17,7 +18,6 @@ from geofuse.ingest import (
     load_observations,
     load_stations,
     make_windows,
-    target_order,
 )
 from geofuse.synth import SynthConfig, generate, write_scenario_csvs
 
@@ -52,11 +52,12 @@ def load_both(tmp_path, stations_text=STATIONS_CSV, obs_text=OBS_CSV):
 
 
 def test_load_stations(tmp_path):
-    stations = load_stations(write(tmp_path, "stations.csv", STATIONS_CSV))
+    stations, panel = load_both(tmp_path)
     assert [st.id for st in stations] == ["s1", "s2", "s3"]
     assert stations[0].targets == ("pm25", "pm10")
     assert stations[2].source_id == "net_b"
-    assert target_order(stations) == ["pm25", "pm10", "o3"]
+    # The panel's targets: native targets in first-appearance order.
+    assert panel.target_ids == ["pm25", "pm10", "o3"]
 
 
 def test_load_stations_errors(tmp_path):
@@ -122,6 +123,24 @@ def test_load_observations_errors(tmp_path):
         attempt("")
 
 
+def test_field_count_is_checked_per_row_and_blank_rows_are_skipped(tmp_path):
+    stations = load_stations(write(tmp_path, "stations.csv",
+                                   STATIONS_CSV.replace("\ns2", "\n\ns2")))
+    assert [st.id for st in stations] == ["s1", "s2", "s3"]
+    with pytest.raises(ParseError, match="line 3: expected 5 fields, got 4"):
+        load_stations(write(tmp_path, "bad.csv",
+                            "station_id,source_id,x,y,targets\ns1,n,0,0,pm25\ns2,n,1,1\n"))
+    header = "timestamp,station_id,target_id,value\n"
+    ok = "2017-01-01T00:00,s1,pm25,1.0\n"
+    panel = load_observations(write(tmp_path, "obs.csv", header + "\n" + ok + "\n"), stations)
+    assert panel.values[0, 0, panel.target_ids.index("pm25")] == 1.0
+    for row, got in (("2017-01-01T00:00,s1,pm25\n", 3), (ok.rstrip("\n") + ",raw\n", 5)):
+        with pytest.raises(ParseError, match=f"line 3: expected 4 fields, got {got}"):
+            load_observations(write(tmp_path, "obs.csv", header + ok + row), stations)
+    with pytest.raises(ParseError, match="line 2: expected 5 fields, got 4"):
+        FUSED.read(write(tmp_path, "fused.csv", ",".join(FUSED.header) + "\n" + ok), None)
+
+
 def test_stray_quote_is_a_parse_error(tmp_path):
     # An unclosed quote runs the field to the end of the file; past csv's
     # field size limit that is a csv.Error, which must not escape.
@@ -168,6 +187,38 @@ def _series_panel(series):
     from datetime import timedelta
     ts = [datetime(2017, 1, 1) + timedelta(hours=i) for i in range(len(series))]
     return ObservationPanel(ts, [station], ["t"], values)
+
+
+def _fill_short_gaps_reference(col, max_gap):
+    """The per-series loop: one np.interp per interior NaN run of length <= max_gap."""
+    missing = np.isnan(col)
+    n, i = len(col), 0
+    while i < n:
+        if not missing[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and missing[j]:
+            j += 1
+        if i > 0 and j < n and (j - i) <= max_gap:
+            col[i:j] = np.interp(np.arange(i, j), [i - 1, j], [col[i - 1], col[j]])
+        i = j
+
+
+def test_clean_panel_equals_the_per_series_loop_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for _ in range(90):
+        shape = (int(rng.integers(1, 80)), int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+        values = rng.normal(0.0, 10.0 ** rng.uniform(-3, 6), size=shape)
+        values[rng.random(shape) < rng.uniform(0.0, 0.7)] = np.nan
+        max_gap = int(rng.integers(0, 6))
+        want = values.copy()
+        for s in range(shape[1]):
+            for k in range(shape[2]):
+                _fill_short_gaps_reference(want[:, s, k], max_gap)
+        panel = ObservationPanel([None] * shape[0], [], [], values)
+        got = clean_panel(panel, max_gap_hours=max_gap).values
+        assert got.tobytes() == want.tobytes()
 
 
 def test_clean_panel_fills_short_interior_gaps():

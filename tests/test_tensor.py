@@ -51,7 +51,7 @@ def assert_grads_match(build_loss, params: list[gt.Tensor]):
 def projected(out: gt.Tensor, rng) -> gt.Tensor:
     """Reduce an op output to a scalar via a fixed random projection."""
     w = rng.standard_normal(out.shape)
-    return gt.reduce_sum(out * w)
+    return gt.reduce_sum(gt.multiply_elementwise(out, w))
 
 
 def test_add_broadcast_grads():
@@ -383,14 +383,3 @@ def test_shape_errors_name_the_op():
         gt.graph_conv(g, np.zeros((2, 4, 4)), gt.Tensor(np.zeros((3, 3, 2))))
     with pytest.raises(ShapeError, match="graph_conv.*input"):
         gt.graph_conv(g, np.zeros((3, 4, 4)), gt.Tensor(np.zeros((3, 2, 2))))
-
-
-def test_operator_sugar_matches_functions():
-    rng = np.random.default_rng(44)
-    a = gt.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    b = gt.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    with gt.Tape():
-        loss = ((a + b) * 2.0 + b).sum()
-    gt.backward(loss)
-    assert np.allclose(a.grad, 2.0)
-    assert np.allclose(b.grad, 3.0)

@@ -97,7 +97,8 @@ def test_exactness_at_sources():
         assert np.max(np.abs(back - vals)) < 1e-8
 
 
-def test_build_interpolant_weights_match_generic_solver():
+def test_solve_weights_matches_generic_solver():
+    # The weight solve lives inside build_interpolant, the one fit path.
     rng = np.random.default_rng(61)
     for _ in range(10):
         n = int(rng.integers(2, 12))
@@ -108,6 +109,9 @@ def test_build_interpolant_weights_match_generic_solver():
         w = interp.weights
         assert np.allclose(w, np.linalg.solve(a, b), atol=1e-9)
         assert np.max(np.abs(a @ w - b)) < gf.RESIDUAL_RTOL * (1.0 + np.max(np.abs(b)))
+
+
+def test_solve_weights_rejects_non_finite_inputs():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     for points, values in ((pts, np.array([np.nan, 1.0])), (pts, np.array([np.inf, 1.0])),
                            (np.array([[np.nan, 0.0], [1.0, 0.0]]), np.ones(2))):

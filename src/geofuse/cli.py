@@ -59,6 +59,7 @@ from .stgcn import (
     StgcnModel,
     load_model,
     operator_kind,
+    predict,
     predict_batch,
     save_model,
     train,
@@ -342,13 +343,10 @@ def cmd_predict(args) -> int:
                 f"horizon must be between 1 and the fused panel's {n_hours} hours, "
                 f"got {horizon}")
         p = model.config.history_steps
-        if fused.values.shape[0] < p:
-            raise ValidationError(
-                f"fused panel has {fused.values.shape[0]} rows, model needs {p}")
-        normed = apply_normalization(fused.values, norm)
-        window = normed[-p:]
-        k_pred = fused.target_ids.index(predicted)
-        pred_norm = predict_batch(model, window[np.newaxis], op, horizon, k_pred)[0]
+        if n_hours < p:
+            raise ValidationError(f"fused panel has {n_hours} rows, model needs {p}")
+        window = apply_normalization(fused.values[-p:], norm)
+        pred_norm = predict(model, window, op, horizon, fused.target_ids.index(predicted))
         values = invert_normalization(pred_norm, norm, predicted)
         start = fused.timestamps[-1]
         stamps = [start + (h + 1) * HOUR for h in range(horizon)]

@@ -3,7 +3,9 @@
 Input is two CSV files: a station table (id, source, coordinates, native
 targets) and a long-format observation table keyed by timestamp, station and
 target. ``LongFormat`` reads and writes that format for observations.csv and
-fused.csv alike: one row rule, one hourly grid, one writer. Observations land
+fused.csv alike: one row rule, one hourly grid, one writer. ``write_table``
+writes every other CSV table of the pipeline, and every CSV reader reads
+through ``csv_rows``, which maps read errors to ParseError. Observations land
 in a dense (time, station, target) panel on the hourly grid; NaN marks
 missing. Cleaning fills short interior gaps by linear interpolation,
 normalization is min-max fitted on the training rows only, and windowing
@@ -23,6 +25,8 @@ import numpy as np
 from .errors import ConfigError, ParseError, ValidationError
 
 STATIONS_HEADER = ("station_id", "source_id", "x", "y", "targets")
+FULL = "%.17g"   # float64 round trip: values later stages read back
+SHORT = "%.10g"  # reports and forecasts
 OBSERVATIONS_HEADER = ("timestamp", "station_id", "target_id", "value")
 HOUR = timedelta(hours=1)
 
@@ -76,30 +80,52 @@ class ObservationPanel:
         return mask
 
 
-def read_csv_rows(path, expected_header: tuple[str, ...]):
-    """Yield ``(line, fields)`` per row after a checked header.
+def csv_rows(path):
+    """Yield ``(line, fields)`` for every row of a CSV file, the header first.
 
-    The caller checks each row's field count where it unpacks the row, with
-    ``_width_error``, and skips blank rows. The file must be UTF-8; bytes
-    that do not decode are a ParseError.
+    The file must be UTF-8. A file that cannot be read, bytes that do not
+    decode and a malformed row (say, a stray quote that swallows the rest of
+    the file) are each a ParseError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path} is empty", line=1)
-            if tuple(header) != expected_header:
-                raise ParseError(
-                    f"expected header {','.join(expected_header)}, got {','.join(header)}",
-                    line=1)
-            yield from enumerate(reader, start=2)
+            yield from enumerate(reader, start=1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}")
-    except csv.Error as exc:  # e.g. a stray quote that swallows the rest of the file
+    except csv.Error as exc:
         raise ParseError(f"{path}: {exc}", line=reader.line_num)
+
+
+def read_csv_rows(path, expected_header: tuple[str, ...]):
+    """``csv_rows`` after a checked header.
+
+    The caller checks each row's field count where it unpacks the row, with
+    ``_width_error``, and skips blank rows.
+    """
+    rows = csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError(f"{path} is empty", line=1)
+    if tuple(header) != expected_header:
+        raise ParseError(
+            f"expected header {','.join(expected_header)}, got {','.join(header)}", line=1)
+    return rows
+
+
+def write_table(path, header, rows, spec: str) -> None:
+    """Write ``header`` and then one line per row, fields joined by commas.
+
+    A float field is written with the %-format ``spec`` and any other field
+    with ``str``; nothing is quoted.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([spec % v if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
 
 
 def _width_error(fields: list[str], header: tuple[str, ...], line: int) -> ParseError:
@@ -130,6 +156,12 @@ def load_stations(path) -> list[Station]:
     if not stations:
         raise ValidationError("station table has no rows")
     return stations
+
+
+def write_stations(path, stations: list[Station]) -> None:
+    """The station table ``load_stations`` reads, coordinates to 6 decimals."""
+    rows = [(st.id, st.source_id, st.x, st.y, "|".join(st.targets)) for st in stations]
+    write_table(path, STATIONS_HEADER, rows, "%.6f")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:

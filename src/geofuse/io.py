@@ -2,15 +2,17 @@
 
 fused.csv is the observations' long format plus a provenance tag, so it is
 read and written by ``ingest.LongFormat`` under the same row and grid rules.
-Values that feed later stages (fused panel, adjacency) are written with 17
-significant digits so a float64 survives the round trip exactly; report
-files use a shorter human-oriented format. All writers emit rows in a fixed
-order, so identical inputs give byte-identical files.
+Every other table is written by ``ingest.write_table``, and
+``ingest.csv_rows`` turns a CSV read error into a ParseError for every
+reader. Values that feed later stages (fused panel, adjacency) are written
+with ``ingest.FULL``, 17 significant digits, so a float64 survives the round
+trip exactly; reports and forecasts use the shorter ``ingest.SHORT``. All
+writers emit rows in a fixed order, so identical inputs give byte-identical
+files.
 """
 
 from __future__ import annotations
 
-import csv
 from datetime import datetime
 from pathlib import Path
 
@@ -18,20 +20,14 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .fusion import FusionMatrix
-from .ingest import OBSERVATIONS_HEADER, LongFormat
+from .ingest import FULL, OBSERVATIONS_HEADER, SHORT, LongFormat, csv_rows, write_table
 from .metrics import ConsistencyReport
 from .stgcn import EpochStats
 
-FULL = "{:.17g}"
-SHORT = "{:.10g}"
 FUSED_HEADER = ("timestamp", "station_id", "target_id", "value", "provenance")
 # Provenance tags in code order: a row's code is its raw_mask bit.
-FUSED = LongFormat(FUSED_HEADER, "%.17g", ("fused", "raw"))
-FORECAST = LongFormat(OBSERVATIONS_HEADER, "%.10g", ())
-
-
-def _fmt(value: float, spec: str = FULL) -> str:
-    return spec.format(float(value))
+FUSED = LongFormat(FUSED_HEADER, FULL, ("fused", "raw"))
+FORECAST = LongFormat(OBSERVATIONS_HEADER, SHORT, ())
 
 
 def write_fused_csv(fused: FusionMatrix, path) -> None:
@@ -58,30 +54,20 @@ def write_adjacency_csv(matrix: np.ndarray, station_ids: list[str], path) -> Non
     if matrix.shape != (len(station_ids), len(station_ids)):
         raise ValidationError(
             f"adjacency {matrix.shape} does not match {len(station_ids)} stations")
-    with open(path, "w", newline="") as fh:
-        fh.write("station_id," + ",".join(station_ids) + "\n")
-        for i, sid in enumerate(station_ids):
-            fh.write(sid + "," + ",".join(_fmt(v) for v in matrix[i]) + "\n")
+    write_table(path, ["station_id", *station_ids],
+                [[sid, *row] for sid, row in zip(station_ids, matrix.tolist())], FULL)
 
 
 def read_adjacency_csv(path) -> tuple[list[str], np.ndarray]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = list(csv.reader(fh))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}")
-    except csv.Error as exc:
-        raise ParseError(f"{path}: {exc}")
-    if not reader or reader[0][:1] != ["station_id"]:
+    rows = [fields for _, fields in csv_rows(path)]
+    if not rows or rows[0][:1] != ["station_id"]:
         raise ParseError(f"{path}: expected station_id header", line=1)
-    ids = reader[0][1:]
+    ids = rows[0][1:]
     n = len(ids)
-    if len(reader) - 1 != n:
-        raise ParseError(f"{path}: expected {n} rows, got {len(reader) - 1}")
+    if len(rows) - 1 != n:
+        raise ParseError(f"{path}: expected {n} rows, got {len(rows) - 1}")
     matrix = np.empty((n, n))
-    for i, row in enumerate(reader[1:], start=2):
+    for i, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
             raise ParseError(f"expected {n + 1} fields, got {len(row)}", line=i)
         if row[0] != ids[i - 2]:
@@ -95,25 +81,15 @@ def read_adjacency_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss,val_mae,val_rmse\n")
-        for row in history:
-            fh.write(f"{row.epoch},{_fmt(row.train_loss, SHORT)},"
-                     f"{_fmt(row.val_loss, SHORT)},{_fmt(row.val_mae, SHORT)},"
-                     f"{_fmt(row.val_rmse, SHORT)}\n")
+    write_table(path, ("epoch", "train_loss", "val_loss", "val_mae", "val_rmse"),
+                [(row.epoch, row.train_loss, row.val_loss, row.val_mae, row.val_rmse)
+                 for row in history], SHORT)
 
 
 def write_metrics_csv(rows: list[dict], path) -> None:
     """Evaluation table: one row per horizon step plus an aggregate row."""
-    columns = ["horizon", "mae", "rmse", "mape", "mape_excluded", "r2"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [str(row["horizon"])]
-            for col in columns[1:]:
-                v = row[col]
-                cells.append(str(v) if isinstance(v, int) else _fmt(v, SHORT))
-            fh.write(",".join(cells) + "\n")
+    columns = ("horizon", "mae", "rmse", "mape", "mape_excluded", "r2")
+    write_table(path, columns, [[row[col] for col in columns] for row in rows], SHORT)
 
 
 def write_forecast_csv(path, timestamps: list[datetime], station_ids: list[str],
@@ -133,30 +109,19 @@ def write_report_csvs(report: ConsistencyReport, out_dir,
     Returns the file names written (relative to out_dir).
     """
     out = Path(out_dir)
-    names = ["variance.csv"]
-    with open(out / "variance.csv", "w", newline="") as fh:
-        fh.write("target_id,raw_variance,fused_variance,ratio\n")
-        for tid in report.target_ids:
-            tv = report.variance[tid]
-            fh.write(f"{tid},{_fmt(tv.raw_variance, SHORT)},"
-                     f"{_fmt(tv.fused_variance, SHORT)},{_fmt(tv.ratio, SHORT)}\n")
+    stamps = [ts.isoformat(timespec="minutes") for ts in timestamps]
+    names, variance = ["variance.csv"], []
     for tid in report.target_ids:
-        kd = report.kde[tid]
-        name = f"kde_{tid}.csv"
-        with open(out / name, "w", newline="") as fh:
-            fh.write("grid,raw_density,fused_density\n")
-            for g, a, b in zip(kd.grid, kd.raw_density, kd.fused_density):
-                fh.write(f"{_fmt(g, SHORT)},{_fmt(a, SHORT)},{_fmt(b, SHORT)}\n")
-        names.append(name)
-        ov = report.overlay[tid]
-        tv = report.variance[tid]
-        name = f"overlay_{tid}.csv"
-        with open(out / name, "w", newline="") as fh:
-            fh.write("timestamp,raw_mean,fused_mean,raw_variance,fused_variance\n")
-            for t, ts in enumerate(timestamps):
-                fh.write(f"{ts.isoformat(timespec='minutes')},"
-                         f"{_fmt(ov.raw_mean[t], SHORT)},{_fmt(ov.fused_mean[t], SHORT)},"
-                         f"{_fmt(tv.raw_trajectory[t], SHORT)},"
-                         f"{_fmt(tv.fused_trajectory[t], SHORT)}\n")
-        names.append(name)
+        kd, ov, tv = report.kde[tid], report.overlay[tid], report.variance[tid]
+        variance.append((tid, tv.raw_variance, tv.fused_variance, tv.ratio))
+        write_table(out / f"kde_{tid}.csv", ("grid", "raw_density", "fused_density"),
+                    zip(kd.grid.tolist(), kd.raw_density.tolist(),
+                        kd.fused_density.tolist()), SHORT)
+        write_table(out / f"overlay_{tid}.csv",
+                    ("timestamp", "raw_mean", "fused_mean", "raw_variance", "fused_variance"),
+                    zip(stamps, ov.raw_mean.tolist(), ov.fused_mean.tolist(),
+                        tv.raw_trajectory.tolist(), tv.fused_trajectory.tolist()), SHORT)
+        names += [f"kde_{tid}.csv", f"overlay_{tid}.csv"]
+    write_table(out / "variance.csv", ("target_id", "raw_variance", "fused_variance", "ratio"),
+                variance, SHORT)
     return names

@@ -312,17 +312,6 @@ class TrainResult:
     best_val_loss: float
 
 
-def _validation_stats(model: StgcnModel, op: GraphOperator, inputs: np.ndarray,
-                      targets: np.ndarray, batch_size: int) -> tuple[float, float, float]:
-    preds = []
-    for lo in range(0, inputs.shape[0], batch_size):
-        preds.append(model.forward(inputs[lo:lo + batch_size], op).data)
-    pred = np.concatenate(preds, axis=0)
-    err = pred - targets
-    loss = float((err ** 2).sum() / inputs.shape[0])
-    return loss, float(np.abs(err).mean()), float(np.sqrt((err ** 2).mean()))
-
-
 def _keep_freed_pages() -> None:
     """Let glibc keep up to 64 MiB of freed memory instead of unmapping it.
 
@@ -348,10 +337,11 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     """Adam training with a fixed shuffle seed and best-validation selection.
 
     The supervision signal is the first horizon step, the next hour.
-    Validation loss, MAE and RMSE are computed on the normalized scale after
-    every epoch; the parameters of the best validation epoch are restored
-    into the model before returning. Freed pages stay in the process, up to
-    64 MiB (see ``_keep_freed_pages``).
+    Validation loss, MAE and RMSE of ``predict_batch``'s one-step forecasts
+    are computed on the normalized scale after every epoch; the parameters
+    of the best validation epoch are restored into the model before
+    returning. Freed pages stay in the process, up to 64 MiB (see
+    ``_keep_freed_pages``).
     """
     config = config or TrainConfig()
     config.validate()
@@ -362,7 +352,7 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
         raise TrainingError("training split is empty")
     if val_x.shape[0] == 0:
         raise TrainingError("validation split is empty; best-epoch selection needs it")
-    train_y, val_y = train_y[:, 0], val_y[:, 0]  # (N, S, 1), the next hour
+    train_y, val_y = train_y[:, 0], val_y[:, 0, :, 0]  # the next hour: (N, S, 1), (N, S)
 
     model._check_operator(op)
     params = model.parameters()
@@ -393,8 +383,9 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
             opt.zero_grad()
             total += value * len(idx)
 
-        val_loss, val_mae, val_rmse = _validation_stats(
-            model, op, val_x, val_y, max(config.batch_size, 64))
+        err = predict_batch(model, val_x, op, 1, 0, max(config.batch_size, 64))[:, 0] - val_y
+        val_loss = float((err ** 2).sum() / len(err))
+        val_mae, val_rmse = float(np.abs(err).mean()), float(np.sqrt((err ** 2).mean()))
         history.append(EpochStats(epoch, total / n_train, val_loss, val_mae, val_rmse))
         if val_loss < best_val:
             best_val = val_loss

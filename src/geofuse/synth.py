@@ -20,7 +20,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import OBSERVATIONS, ObservationPanel, Station
+from .ingest import OBSERVATIONS, ObservationPanel, Station, write_stations
 
 HOUR = timedelta(hours=1)
 _BUMPS = 3
@@ -75,10 +75,6 @@ class SynthConfig:
             raise ConfigError(f"bump_radius must be 0 < lo <= hi, got {self.bump_radius}")
         if self.placement not in ("uniform", "grid"):
             raise ConfigError(f"placement must be uniform or grid, got {self.placement!r}")
-
-    @property
-    def n_stations(self) -> int:
-        return sum(self.stations_per_source)
 
     @property
     def n_targets(self) -> int:
@@ -169,25 +165,15 @@ def generate(config: SynthConfig | None = None) -> SynthResult:
         truth[:, :, -1] = ((1.0 - config.coupling) * truth[:, :, -1]
                            + config.coupling * lagged)
 
-    native = np.zeros((n_stations, n_targets), dtype=bool)
-    k_index = {t: i for i, t in enumerate(targets)}
-    for s, st in enumerate(stations):
-        for t in st.targets:
-            native[s, k_index[t]] = True
-
-    values = np.where(native[None, :, :], truth, np.nan)
+    panel = ObservationPanel(timestamps=[config.start + i * HOUR for i in range(t_total)],
+                             stations=stations, target_ids=targets, values=truth.copy())
+    native = panel.native_mask()
+    values = panel.values
+    values[:, ~native] = np.nan
     if config.noise > 0.0:
-        values = values + np.where(
-            native[None, :, :], rng.normal(0.0, config.noise, values.shape), 0.0)
+        values += np.where(native, rng.normal(0.0, config.noise, values.shape), 0.0)
     if config.gap_rate > 0.0:
         _inject_gaps(values, native, config, rng)
-
-    panel = ObservationPanel(
-        timestamps=[config.start + i * HOUR for i in range(t_total)],
-        stations=stations,
-        target_ids=targets,
-        values=values,
-    )
     panel.validate()
     return SynthResult(stations, panel, truth)
 
@@ -242,11 +228,7 @@ def write_scenario_csvs(result: SynthResult, stations_path, observations_path) -
     Native cells that were gapped out are written with an empty value field,
     which the loader reads back as missing.
     """
-    with open(stations_path, "w", newline="") as fh:
-        fh.write("station_id,source_id,x,y,targets\n")
-        for st in result.stations:
-            fh.write(f"{st.id},{st.source_id},{st.x:.6f},{st.y:.6f},"
-                     f"{'|'.join(st.targets)}\n")
+    write_stations(stations_path, result.stations)
     panel = result.panel
     s_idx, k_idx = np.nonzero(panel.native_mask())
     cells = [(panel.stations[s].id, panel.target_ids[k]) for s, k in zip(s_idx, k_idx)]

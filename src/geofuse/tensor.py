@@ -106,45 +106,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
+def _broadcast_op(name: str, ufunc, a, b, grads) -> Tensor:
+    """``ufunc(a, b)`` with numpy broadcasting. ``grads(g, a, b)`` gives both
+    input gradients at the output's shape; each is summed down to its input's."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        data = a.data + b.data
+        data = ufunc(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga, gb = grads(g, a.data, b.data)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _make_output(data, (a, b), backward_fn)
+
+
+def add(a, b) -> Tensor:
+    """Elementwise sum with numpy broadcasting."""
+    return _broadcast_op("add", np.add, a, b, lambda g, x, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make_output(data, (a, b), backward_fn)
+    return _broadcast_op("sub", np.subtract, a, b, lambda g, x, y: (g, -g))
 
 
 def multiply_elementwise(a, b) -> Tensor:
     """Hadamard product with broadcasting; used for gating and masking."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"multiply_elementwise: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _make_output(data, (a, b), backward_fn)
+    return _broadcast_op("multiply_elementwise", np.multiply, a, b,
+                         lambda g, x, y: (g * y, g * x))
 
 
 def matmul(a, b) -> Tensor:

@@ -21,13 +21,11 @@ seed = 1
 """
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One synth -> fuse -> graph -> train chain shared by the read-only tests."""
-    root = tmp_path_factory.mktemp("pipeline")
+def _build(root, stations: str, targets: str) -> dict:
+    """synth -> fuse -> graph -> train under ``root``; the paths it wrote."""
     data = root / "data"
-    assert main(["synth", "--out-dir", str(data), "--stations", "3,3",
-                 "--targets", "1,1", "--hours", "80", "--seed", "5",
+    assert main(["synth", "--out-dir", str(data), "--stations", stations,
+                 "--targets", targets, "--hours", "80", "--seed", "5",
                  "--gap-rate", "0.05"]) == 0
     config = root / "run.cfg"
     config.write_text(CONFIG)
@@ -51,6 +49,19 @@ def pipeline(tmp_path_factory):
         "model": model_dir / "model.ckpt",
         "history": model_dir / "history.csv",
     }
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """One synth -> fuse -> graph -> train chain shared by the read-only tests."""
+    return _build(tmp_path_factory.mktemp("pipeline"), "3,3", "1,1")
+
+
+def _first_hours(pipeline, path, hours: int):
+    """The pipeline's fused.csv cut to its first ``hours`` hours, at ``path``."""
+    lines = pipeline["fused"].read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1 + hours * 6 * 2]))
+    return path
 
 
 def test_pipeline_artifacts_exist(pipeline):
@@ -248,6 +259,35 @@ def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
     assert code == 3
     assert "not UTF-8" in capsys.readouterr().err
 
+    # Artifacts of another station or target set do not match the pipeline's.
+    other_stations = _build(tmp_path / "stations", "2,2", "1,1")
+    other_targets = _build(tmp_path / "targets", "3,3", "1,2")
+    panel = ["--fused", str(pipeline["fused"]), "--adjacency", str(pipeline["adjacency"])]
+    for other, message in ((other_stations, "checkpoint stations do not match"),
+                           (other_targets, "checkpoint targets do not match")):
+        code = main(["evaluate", *panel, "--model", str(other["model"]),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    code = main(["train", "--fused", str(pipeline["fused"]),
+                 "--adjacency", str(other_stations["adjacency"]),
+                 "--config", str(pipeline["config"]), "--out-dir", str(tmp_path / "model")])
+    assert code == 3
+    assert "adjacency stations do not match" in capsys.readouterr().err
+
+    report = ["report", "--stations", str(pipeline["stations"]),
+              "--observations", str(pipeline["observations"]),
+              "--out-dir", str(tmp_path / "report")]
+    code = main([*report, "--fused", str(other_stations["fused"])])
+    assert code == 3
+    assert "fused stations do not match" in capsys.readouterr().err
+    code = main([*report, "--fused", str(_first_hours(pipeline, tmp_path / "4h.csv", 4))])
+    assert code == 3
+    assert "does not match observations" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "model").exists()
+    assert not (tmp_path / "report").exists()
+
 
 def test_fusion_errors_exit_4(tmp_path, capsys):
     stations = tmp_path / "stations.csv"
@@ -304,6 +344,14 @@ def test_training_errors_exit_6(pipeline, tmp_path, capsys):
     assert code == 6
     assert "too short" in capsys.readouterr().err
 
+    no_train = tmp_path / "no_train.cfg"
+    no_train.write_text(CONFIG + "split = 0, 0.5, 0.5\n")
+    code = main(["run-all", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--config", str(no_train), "--out-dir", str(tmp_path / "run")])
+    assert code == 6
+    assert "training split is empty" in capsys.readouterr().err
+
 
 def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):
     # A nine-hour panel yields two windows: train and val eat both, test empty.
@@ -334,4 +382,27 @@ def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "f.csv"), "--horizon", "100000000"])
     assert code == 7
     assert "got 100000000" in capsys.readouterr().err
+    # Four hours fit the checkpoint's two-step horizon, not its six-step history.
+    code = main(["predict", "--fused", str(_first_hours(pipeline, tmp_path / "4h.csv", 4)),
+                 "--adjacency", str(pipeline["adjacency"]),
+                 "--model", str(pipeline["model"]),
+                 "--out", str(tmp_path / "f.csv")])
+    assert code == 7
+    assert "fused panel has 4 rows, model needs 6" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_first_order_mode_runs_end_to_end(pipeline, tmp_path):
+    config = tmp_path / "first_order.cfg"
+    config.write_text(CONFIG + "graph_mode = first_order\ngraph_kernel = 1\n")
+    run = tmp_path / "run"
+    assert main(["run-all", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--config", str(config), "--out-dir", str(run)]) == 0
+    artifacts = ["--fused", str(run / "fused.csv"), "--adjacency", str(run / "adjacency.csv"),
+                 "--model", str(run / "model.ckpt")]
+    assert main(["evaluate", *artifacts, "--out-dir", str(tmp_path / "eval")]) == 0
+    assert main(["predict", *artifacts, "--out", str(tmp_path / "forecast.csv")]) == 0
+    assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
+            == (run / "metrics.csv").read_bytes())
+    assert len((tmp_path / "forecast.csv").read_text().splitlines()) == 1 + 2 * 6

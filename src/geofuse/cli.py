@@ -165,17 +165,18 @@ def _operator(matrix: np.ndarray, graph_mode: str):
 def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
     """Normalize on the training time range and window the fused panel."""
     p, q = config.model.history_steps, config.horizon_steps
-    n_windows = fused.values.shape[0] - p - q + 1
-    if n_windows < 1:
-        raise TrainingError(
-            f"fused panel has {fused.values.shape[0]} rows; too short for "
-            f"history {p} + horizon {q}")
-    n_train = round(config.split[0] * n_windows)
-    if n_train < 1:
-        raise TrainingError("training split is empty")
-    train_rows = min(fused.values.shape[0], n_train - 1 + p + q)
-    norm = fit_normalization(fused.values, fused.target_ids, train_rows)
-    return _windows(fused, norm, p, q, config.predicted_target, config.split), norm
+    with _phase(EXIT_TRAINING):
+        n_windows = fused.values.shape[0] - p - q + 1
+        if n_windows < 1:
+            raise TrainingError(
+                f"fused panel has {fused.values.shape[0]} rows; too short for "
+                f"history {p} + horizon {q}")
+        n_train = round(config.split[0] * n_windows)
+        if n_train < 1:
+            raise TrainingError("training split is empty")
+        train_rows = min(fused.values.shape[0], n_train - 1 + p + q)
+        norm = fit_normalization(fused.values, fused.target_ids, train_rows)
+        return _windows(fused, norm, p, q, config.predicted_target, config.split), norm
 
 
 def _windows(fused: FusionMatrix, norm: NormalizationParams, history: int,
@@ -185,14 +186,13 @@ def _windows(fused: FusionMatrix, norm: NormalizationParams, history: int,
                         fused.target_ids, history, horizon, predicted, split)
 
 
-def _fit(fused: FusionMatrix, op, config: PipelineConfig):
+def _fit(fused: FusionMatrix, dataset, op, config: PipelineConfig):
     with _phase(EXIT_TRAINING):
-        dataset, norm = _prepare_dataset(fused, config)
         model_config = replace(config.model, n_nodes=len(fused.station_ids),
                                in_channels=len(fused.target_ids))
         model = StgcnModel(model_config, seed=config.train.seed)
         result = train(model, dataset, op, config.train)
-    return model, result, dataset, norm
+    return model, result
 
 
 def _train_meta(fused: FusionMatrix, config: PipelineConfig,
@@ -312,7 +312,8 @@ def cmd_train(args) -> int:
         fused, adj_matrix = _read_fused_and_adjacency(args)
     _check_predicted_target(config, fused.target_ids)
     op = _operator(adj_matrix, config.model.graph_mode)
-    model, result, _, norm = _fit(fused, op, config)
+    dataset, norm = _prepare_dataset(fused, config)
+    model, result = _fit(fused, dataset, op, config)
     out = _ensure_dir(args.out_dir)
     save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
     write_history_csv(result.history, out / "history.csv")
@@ -404,10 +405,11 @@ def cmd_run_all(args) -> int:
     adjacency = _adjacency_from_stations(stations, config.sigma,
                                          config.rbf.distance_metric)
     op = _operator(adjacency.values, config.model.graph_mode)
+    dataset, norm = _prepare_dataset(fused, config)
     out = _ensure_dir(args.out_dir)
     write_fused_csv(fused, out / "fused.csv")
     write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")
-    model, result, dataset, norm = _fit(fused, op, config)
+    model, result = _fit(fused, dataset, op, config)
     save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
     write_history_csv(result.history, out / "history.csv")
     rows = _evaluate(model, dataset, op, norm)

@@ -10,11 +10,16 @@ w_j * exp(-c * dist(q, j)^2). The Gaussian kernel makes A symmetric positive
 definite for distinct sources, so the solve is a Cholesky factorization with
 iterative refinement. A panel is fused with one kernel per target and one
 factorization and multi-right-hand-side solve per (target, availability
-pattern), and every hour keeps the bits of a one-hour fusion.
+pattern), and every hour keeps the bits of a one-hour fusion. Distances and
+per-target kernels are built once per (coordinates, native mask, metric,
+shape_c) and the latest such geometry is kept, so the online path, one
+``fuse_time_step`` per hour over the same stations, pays only for the solves.
+The ridge goes on copies; the bits do not change.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -249,6 +254,18 @@ class FusionMatrix:
             raise ValidationError("fusion matrix contains missing values")
 
 
+@functools.lru_cache(maxsize=1)
+def _geometry(coords: bytes, native: bytes, distance_metric: str, shape_c: float | None):
+    """Read-only distances and an empty kernel dict for the latest station set.
+
+    ``native`` and ``shape_c`` key the kernels ``fuse_panel`` puts in the
+    dict. Only one geometry is kept, and a call that raises is not kept.
+    """
+    dists = pairwise_distances(np.frombuffer(coords).reshape(-1, 2), distance_metric)
+    dists.setflags(write=False)
+    return dists, {}
+
+
 def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
                    target_ids: list[str], config: RbfConfig | None = None,
                    timestamp=None) -> np.ndarray:
@@ -256,8 +273,9 @@ def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
 
     This is ``fuse_panel`` on a one-hour panel, so the kernel shape for
     target k comes from the geometry of all of k's native stations and does
-    not drift when some of them drop out for an hour. Raises FusionError
-    when no station has a reading of some target.
+    not drift when some of them drop out for an hour. Its distances and
+    kernels are built once per station set and config, not per call.
+    Raises FusionError when no station has a reading of some target.
     """
     panel_slice = np.asarray(panel_slice, dtype=np.float64)
     n_stations, n_targets = len(stations), len(target_ids)
@@ -275,18 +293,20 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     Hours are grouped by (target, availability pattern); each group gets one
     Cholesky factor, one query basis and one multi-right-hand-side solve, and
     each hour's values equal ``fuse_time_step`` on that hour, bit for bit.
-    One pairwise distance matrix over all stations is computed per call, and
-    one kernel per target that has a cell to fill, at the shape its native
-    stations give; each pattern's Gram and query blocks are indexed out of
-    that kernel. Raises FusionError for the earliest (hour, target) with no
-    source.
+    The pairwise distances and one kernel per target that has a cell to
+    fill, at the shape its native stations give (one shared kernel for an
+    explicit ``shape_c``), come from the geometry cache of the latest
+    station set, so a repeat station set and config evaluates none; each
+    pattern's Gram and query blocks are copied out of that kernel. Raises
+    FusionError for the earliest (hour, target) with no source.
     """
     config = config or RbfConfig()
     config.validate()
     panel.validate()
     coords = np.array([[st.x, st.y] for st in panel.stations], dtype=np.float64)
-    dists = pairwise_distances(coords, config.distance_metric)
     native = panel.native_mask()
+    dists, kernels = _geometry(coords.tobytes(), native.tobytes(),
+                               config.distance_metric, config.shape_c)
     raw_mask = native & ~np.isnan(panel.values)
     no_source = ~raw_mask.any(axis=1)
     if no_source.any():
@@ -304,8 +324,12 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
             hours.setdefault(by_target[k, t].tobytes(), []).append(t)
         if not hours:
             continue
-        nat = np.flatnonzero(native[:, k])
-        kernel = gaussian_rbf(dists, resolve_shape_c(dists[np.ix_(nat, nat)], config))
+        slot = k if config.shape_c is None else None  # an explicit shape serves every target
+        if slot not in kernels:
+            nat = np.flatnonzero(native[:, k])
+            kernels[slot] = gaussian_rbf(dists, resolve_shape_c(dists[np.ix_(nat, nat)], config))
+            kernels[slot].setflags(write=False)
+        kernel = kernels[slot]
         for ts in hours.values():
             available = by_target[k, ts[0]]
             rows = np.array(ts)[:, np.newaxis]

@@ -351,6 +351,7 @@ def test_training_errors_exit_6(pipeline, tmp_path, capsys):
                  "--config", str(no_train), "--out-dir", str(tmp_path / "run")])
     assert code == 6
     assert "training split is empty" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # checked before anything is written
 
 
 def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):

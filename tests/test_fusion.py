@@ -4,6 +4,8 @@ The 2x2 weight solution and midpoint value below were computed once by hand
 (Cramer's rule / direct kernel evaluation) and are frozen as constants.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -142,8 +144,11 @@ def test_default_ridge_equals_explicit_constant():
 
 
 def test_fuse_panel_evaluates_one_kernel_per_target(monkeypatch):
-    # Two targets with gaps across several availability patterns: one kernel
-    # each. A target with nothing to fill evaluates none.
+    # A cold geometry evaluates one kernel per target with a cell to fill and
+    # none for a target with nothing to fill; an explicit shape_c evaluates
+    # one for all targets. A repeat on the same stations, targets and config
+    # evaluates none; a change to anything the kernels depend on evaluates
+    # anew, and the ridge alone does not.
     calls = []
 
     def counted(dist, shape_c):
@@ -151,16 +156,75 @@ def test_fuse_panel_evaluates_one_kernel_per_target(monkeypatch):
         return gaussian_rbf(dist, shape_c)
 
     monkeypatch.setattr(gf, "gaussian_rbf", counted)
+    gf._geometry.cache_clear()
     panel = _toy_panel(missing={(1, "a", "t1"), (2, "d", "t1"), (4, "b", "t2")})
-    fuse_panel(panel)
-    assert calls == [(4, 4), (4, 4)]
+
+    def kernels(stations=panel.stations, config=RbfConfig()):
+        calls.clear()
+        fuse_panel(ObservationPanel(panel.timestamps, stations, panel.target_ids,
+                                    panel.values), config)
+        return calls.copy()
+
+    assert kernels() == [(4, 4), (4, 4)]
     calls.clear()
     fuse_time_step(panel.values[1], panel.stations, panel.target_ids)
-    assert calls == [(4, 4)] * 2  # every hour has unmeasured cells of both targets
+    assert calls == []
+    assert kernels() == []
+    assert kernels(config=RbfConfig(ridge=0.0)) == []
+    assert kernels(config=RbfConfig(ridge=1e-3)) == []
+    a, b, c, d = panel.stations
+    assert kernels([a, replace(b, x=b.x + 1e-9), c, d]) == [(4, 4)] * 2
+    assert kernels([a, b, replace(c, targets=("t2", "t1")), d]) == [(4, 4)] * 2
+    assert kernels(config=RbfConfig(distance_metric="haversine_km")) == [(4, 4)] * 2
+    assert kernels(config=RbfConfig(shape_c=2.0)) == [(4, 4)]
+    assert kernels(config=RbfConfig(shape_c=2.0)) == []
     calls.clear()
     stations = [make_station("a", 0.0, 0.0), make_station("b", 1.0, 0.0)]
     fuse_panel(ObservationPanel(hourly(3), stations, ["t1"], np.ones((3, 2, 1))))
     assert calls == []
+
+
+@pytest.mark.parametrize("config", [
+    RbfConfig(), RbfConfig(ridge=0.0), RbfConfig(shape_c=2.0),
+    RbfConfig(distance_metric="haversine_km")])
+def test_warm_geometry_fuses_the_bits_of_a_cold_one(config):
+    scenario = generate(SynthConfig(seed=6, hours=48, gap_rate=0.02,
+                                    stations_per_source=(20, 20, 20),
+                                    targets_per_source=(2, 3, 2)))
+    panel = scenario.panel
+    gf._geometry.cache_clear()
+    cold = fuse_panel(panel, config).values
+    assert np.array_equal(fuse_panel(panel, config).values, cold)
+    for t in range(panel.values.shape[0]):
+        gf._geometry.cache_clear()
+        step = (panel.values[t], panel.stations, panel.target_ids, config)
+        cold = fuse_time_step(*step)
+        assert np.array_equal(fuse_time_step(*step), cold), t
+
+
+def test_geometry_cache_is_bounded_and_read_only():
+    gf._geometry.cache_clear()
+    panel = _toy_panel()
+    bound = gf._geometry.cache_info().maxsize
+    for i in range(bound + 3):
+        fuse_panel(panel, RbfConfig(shape_c=1.0 + i))
+        assert gf._geometry.cache_info().currsize == min(i + 1, bound)
+    coords = np.array([[st.x, st.y] for st in panel.stations]).tobytes()
+    native = panel.native_mask().tobytes()
+    for config, n_kernels in ((RbfConfig(), 2), (RbfConfig(shape_c=2.0), 1)):
+        fuse_panel(panel, config)
+        hits = gf._geometry.cache_info().hits
+        dists, kernels = gf._geometry(coords, native, config.distance_metric, config.shape_c)
+        assert gf._geometry.cache_info().hits == hits + 1
+        assert len(kernels) == n_kernels
+        assert not any(m.flags.writeable for m in (dists, *kernels.values()))
+    # A build that raises is not kept.
+    gf._geometry.cache_clear()
+    broken = [*panel.stations[:3], make_station("d", np.nan, 0.4)]
+    with pytest.raises(ValidationError, match="non-finite"):
+        fuse_panel(ObservationPanel(panel.timestamps, broken, panel.target_ids,
+                                    panel.values))
+    assert gf._geometry.cache_info().currsize == 0
 
 
 def test_shape_c_auto_resolution():

@@ -73,6 +73,7 @@ from .stgcn import (
     load_model,
     predict,
     predict_batch,
+    predict_series,
     save_model,
     train,
 )

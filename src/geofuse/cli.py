@@ -60,7 +60,7 @@ from .stgcn import (
     load_model,
     operator_kind,
     predict,
-    predict_batch,
+    predict_series,
     save_model,
     train,
 )
@@ -243,12 +243,13 @@ def _metric_rows(truth: np.ndarray, pred: np.ndarray) -> list[dict]:
 def _evaluate(model: StgcnModel, dataset, op, norm: NormalizationParams) -> list[dict]:
     """Accuracy of the model's rollout on the dataset's test windows."""
     with _phase(EXIT_EVALUATION):
-        test_x, test_y = dataset.part("test")
-        if test_x.shape[0] == 0:
+        _, test_y = dataset.part("test")
+        if test_y.shape[0] == 0:
             raise ValidationError("test split is empty; nothing to evaluate")
         predicted = dataset.predicted_target
-        pred_norm = predict_batch(model, test_x, op, dataset.horizon_steps,
-                                  dataset.target_ids.index(predicted))
+        k = dataset.target_ids.index(predicted)
+        pred_norm = np.concatenate([predict_series(model, rows, op, dataset.horizon_steps, k)
+                                    for rows in dataset.series("test")])
         pred = invert_normalization(pred_norm, norm, predicted)
         truth = invert_normalization(test_y[..., 0], norm, predicted)
         return _metric_rows(truth, pred)
@@ -325,9 +326,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model_context(args):
+    """Inputs exit 3; a checkpoint that does not load into a model exits 7."""
     with _phase(EXIT_INGEST):
         fused, adj_matrix = _read_fused_and_adjacency(args)
+    with _phase(EXIT_EVALUATION):
         model, meta = load_model(args.model)
+    with _phase(EXIT_INGEST):
         norm, predicted, horizon, split = _restore_context(fused, meta)
     op = _operator(adj_matrix, model.config.graph_mode)
     return fused, model, op, norm, predicted, horizon, split

@@ -79,7 +79,8 @@ def cross_distances(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> 
     """(len(a), len(b)) distance matrix under the chosen metric.
 
     ``euclidean`` treats coordinates as planar (x, y). ``haversine_km``
-    treats them as (longitude, latitude) in degrees and returns great-circle
+    treats them as (longitude, latitude) in degrees, longitude in
+    [-180, 360) and latitude in [-90, 90], and returns great-circle
     kilometres.
     """
     a = _check_points(a, "points")
@@ -88,6 +89,11 @@ def cross_distances(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> 
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt((diff ** 2).sum(axis=-1))
     if metric == "haversine_km":
+        for lon, lat in (a.T, b.T):
+            if not ((-180.0 <= lon) & (lon < 360.0)).all():
+                raise ValidationError("haversine_km longitudes must lie in [-180, 360)")
+            if not ((-90.0 <= lat) & (lat <= 90.0)).all():
+                raise ValidationError("haversine_km latitudes must lie in [-90, 90]")
         lon_a, lat_a = np.radians(a[:, 0])[:, None], np.radians(a[:, 1])[:, None]
         lon_b, lat_b = np.radians(b[:, 0])[None, :], np.radians(b[:, 1])[None, :]
         h = (np.sin((lat_b - lat_a) / 2) ** 2

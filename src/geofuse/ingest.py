@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -411,8 +412,12 @@ def invert_normalization(values: np.ndarray, params: NormalizationParams,
 
 @dataclass
 class WindowedDataset:
-    """Stride-1 supervised windows with a chronological train/val/test split."""
+    """Stride-1 supervised windows with a chronological train/val/test split.
 
+    ``inputs`` is a read-only view of ``rows`` unless windows were dropped.
+    """
+
+    rows: np.ndarray         # (T, S, K), read-only: the rows the windows were cut from
     inputs: np.ndarray       # (N, P, S, K)
     targets: np.ndarray      # (N, Q, S, 1), the predicted target only
     starts: np.ndarray       # (N,) row index of each window's first input step
@@ -431,6 +436,18 @@ class WindowedDataset:
     def part(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.bounds(name)
         return self.inputs[lo:hi], self.targets[lo:hi]
+
+    def series(self, name: str) -> list[np.ndarray]:
+        """The split's windows as row blocks, one per run of consecutive starts.
+
+        A run of windows starting at rows a, a + 1, ..., b covers rows
+        [a, b + P), whose stride-1 windows are exactly the run's; the blocks
+        come in ``part``'s window order.
+        """
+        lo, hi = self.bounds(name)
+        starts = self.starts[lo:hi]
+        runs = np.split(starts, np.flatnonzero(np.diff(starts) != 1) + 1) if hi > lo else []
+        return [self.rows[run[0]:run[-1] + self.history_steps] for run in runs]
 
     def bounds(self, name: str) -> tuple[int, int]:
         if name == "train":
@@ -456,6 +473,9 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
     A window starting at row i uses rows [i, i+P) as input and the predicted
     target at rows [i+P, i+P+Q) as supervision. Windows touching any missing
     cell are dropped. With T rows there are T - P - Q + 1 candidate windows.
+    The dataset keeps a read-only copy of ``values`` as ``rows``, and its
+    inputs are a view of them; only when windows were dropped are the kept
+    ones copied.
     """
     p, q = history_steps, horizon_steps
     if p < 1 or q < 1:
@@ -468,16 +488,18 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
         raise ValidationError(
             f"need at least history+horizon={p + q} rows, panel has {t_total}")
 
+    rows = np.array(values, dtype=np.float64)
+    rows.flags.writeable = False
     n = t_total - p - q + 1
-    windows = np.lib.stride_tricks.sliding_window_view(values, p, axis=0)
-    inputs = np.moveaxis(windows, -1, 1)[:n]                      # (N, P, S, K)
+    inputs = np.moveaxis(sliding_window_view(rows, p, axis=0), -1, 1)[:n]   # (N, P, S, K)
     k_pred = target_ids.index(predicted_target)
-    series = values[:, :, k_pred]
-    horizon = np.lib.stride_tricks.sliding_window_view(series, q, axis=0)
+    horizon = sliding_window_view(rows[:, :, k_pred], q, axis=0)
     targets = np.moveaxis(horizon, -1, 1)[p:p + n][..., np.newaxis]  # (N, Q, S, 1)
     starts = np.arange(n)
 
-    keep = ~(np.isnan(inputs).any(axis=(1, 2, 3)) | np.isnan(targets).any(axis=(1, 2, 3)))
+    missing = np.isnan(rows)
+    keep = ~(sliding_window_view(missing.any(axis=(1, 2)), p)[:n].any(axis=1)
+             | sliding_window_view(missing[:, :, k_pred].any(axis=1), q)[p:p + n].any(axis=1))
     if not keep.all():
         inputs, targets, starts = inputs[keep], targets[keep], starts[keep]
     n_kept = inputs.shape[0]
@@ -487,8 +509,9 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
     n_train = round(split[0] * n_kept)
     n_val = round((split[0] + split[1]) * n_kept) - n_train
     return WindowedDataset(
-        inputs=np.ascontiguousarray(inputs),
-        targets=np.ascontiguousarray(targets),
+        rows=rows,
+        inputs=inputs,
+        targets=np.array(targets),
         starts=starts,
         history_steps=p,
         horizon_steps=q,

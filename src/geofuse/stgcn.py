@@ -19,21 +19,30 @@ forecasts at inference iterate the one-step model, writing each prediction
 back into the window's predicted channel while exogenous channels hold their
 last value.
 
-The rollout streams: each step shifts the window by one column, so after
-the first step (the full forward) every layer has one new output column. It
-keeps each gated temporal conv's last f_t - 1 input columns and the head's
-last head_time_steps - 1 (nothing for the graph conv, ReLU and fc); a later
-step runs each layer on those plus the new column. The matmuls then run over
-fewer rows, so BLAS may sum in another order, and later steps can differ
-from a full forward on the shifted window in the last bits.
+The rollout runs one forward per contiguous run of windows. Every temporal
+layer is a valid convolution along time and the graph conv, ReLU and fc act
+on each column alone, so one forward over a T-row series gives the first
+forecast of each of its T - P + 1 stride-1 windows: ``predict_series`` does
+that for a block of rows, ``predict_batch`` for stacked windows (T = P). The
+fc sees each window's column as its own batch entry, as in ``forward``.
+Later steps stream: each step shifts every window by one column, so every
+layer has one new output column. Each gated temporal conv keeps its window's
+last f_t - 1 input columns and the head its last head_time_steps - 1
+(nothing for the graph conv, ReLU and fc), gathered from the first forward's
+activations; a later step runs each layer on those plus the new column. The
+matmuls then run over other row counts, so BLAS may sum in another order,
+and later steps can differ from a full forward on the shifted window in the
+last bits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -81,10 +90,40 @@ class ModelConfig:
                 f"history_steps={self.history_steps} leaves "
                 f"{self.head_time_steps} time steps after four temporal layers "
                 f"of width {self.time_kernel}; need at least 1")
+        need, memory = self.nbytes(), _physical_memory()
+        if memory is not None and need > memory:
+            raise ConfigError(
+                f"the model needs at least {need / 2**30:.3g} GiB for its "
+                f"parameters and one window's activations, more than the "
+                f"{memory / 2**30:.3g} GiB of physical memory")
 
     @property
     def head_time_steps(self) -> int:
         return self.history_steps - 4 * (self.time_kernel - 1)
+
+    def nbytes(self) -> int:
+        """A lower bound on the bytes a one-window forward holds.
+
+        The weight kernels, the graph basis and the widest layer's arrays for
+        one window: its im2col matrix, its gated conv's two halves and the
+        graph conv's filtered input. Computed from the config alone, so it
+        can be checked before any weight is drawn.
+        """
+        c1, c2, c3 = self.channels
+        f, r = self.time_kernel, self.graph_kernel
+        s, k, p = self.n_nodes, self.in_channels, self.history_steps
+        weights = (2 * f * (k * c1 + c2 * c3 + c3 * c1 + c2 * c3) + 2 * r * c1 * c2
+                   + 2 * self.head_time_steps * c3 * c3 + c3)
+        widest = s * p * (f * max(k, c1, c2, c3) + 2 * max(c1, c3) + r * c2)
+        return 8 * (weights + r * s * s + widest)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def operator_kind(graph_mode: str) -> str:
@@ -231,6 +270,11 @@ class StgcnModel:
             raise ShapeError(
                 f"expected windows (B, {cfg.history_steps}, {cfg.n_nodes}, "
                 f"{cfg.in_channels}), got {shape}")
+        return self._basis(op)
+
+    def _basis(self, op: GraphOperator) -> np.ndarray:
+        """Check the operator; return the graph basis."""
+        cfg = self.config
         self._check_operator(op)
         return GraphConv.basis(op.matrix, cfg.graph_mode, cfg.graph_kernel)
 
@@ -337,8 +381,9 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     """Adam training with a fixed shuffle seed and best-validation selection.
 
     The supervision signal is the first horizon step, the next hour.
-    Validation loss, MAE and RMSE of ``predict_batch``'s one-step forecasts
-    are computed on the normalized scale after every epoch; the parameters
+    Validation loss, MAE and RMSE of the one-step forecasts are computed on
+    the normalized scale after every epoch, with one ``predict_series``
+    forward per contiguous run of validation windows; the parameters
     of the best validation epoch are restored into the model before
     returning. Freed pages stay in the process, up to 64 MiB (see
     ``_keep_freed_pages``).
@@ -347,11 +392,12 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     config.validate()
     _keep_freed_pages()
     train_x, train_y = dataset.part("train")
-    val_x, val_y = dataset.part("val")
+    _, val_y = dataset.part("val")
     if train_x.shape[0] == 0:
         raise TrainingError("training split is empty")
-    if val_x.shape[0] == 0:
+    if val_y.shape[0] == 0:
         raise TrainingError("validation split is empty; best-epoch selection needs it")
+    val_rows = dataset.series("val")
     train_y, val_y = train_y[:, 0], val_y[:, 0, :, 0]  # the next hour: (N, S, 1), (N, S)
 
     model._check_operator(op)
@@ -383,7 +429,8 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
             opt.zero_grad()
             total += value * len(idx)
 
-        err = predict_batch(model, val_x, op, 1, 0, max(config.batch_size, 64))[:, 0] - val_y
+        err = np.concatenate([predict_series(model, rows, op, 1, 0)[:, 0]
+                              for rows in val_rows]) - val_y
         val_loss = float((err ** 2).sum() / len(err))
         val_mae, val_rmse = float(np.abs(err).mean()), float(np.sqrt((err ** 2).mean()))
         history.append(EpochStats(epoch, total / n_train, val_loss, val_mae, val_rmse))
@@ -400,6 +447,10 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     return TrainResult(history, best_epoch, float(best_val))
 
 
+# Windows per forward in ``predict_batch``: bounds its arrays for any N.
+_PREDICT_BATCH = 256
+
+
 def predict(model: StgcnModel, window: np.ndarray, op: GraphOperator,
             horizon: int, predicted_channel: int) -> np.ndarray:
     """Iterate the one-step model ``horizon`` times on one (P, S, K) window.
@@ -413,45 +464,99 @@ def predict(model: StgcnModel, window: np.ndarray, op: GraphOperator,
 
 
 def predict_batch(model: StgcnModel, windows: np.ndarray, op: GraphOperator,
-                  horizon: int, predicted_channel: int,
-                  batch_size: int = 256) -> np.ndarray:
-    """Streaming rollout over (N, P, S, K) windows. Returns (N, horizon, S).
+                  horizon: int, predicted_channel: int) -> np.ndarray:
+    """Rollout over (N, P, S, K) windows. Returns (N, horizon, S).
 
     The first step is one full forward; later steps compute only each
     layer's newest time column (see the module docstring).
     """
     windows = np.asarray(windows, dtype=np.float64)
     stages = model.stages(model._check_inputs(windows.shape, op))
-    if np.isnan(windows).any():
+    _check_rollout(windows, horizon, predicted_channel)
+    out = np.empty((windows.shape[0], horizon, windows.shape[2]))
+    for lo in range(0, windows.shape[0], _PREDICT_BATCH):
+        block = windows[lo:lo + _PREDICT_BATCH]
+        _rollout(stages, np.swapaxes(block, 1, 2), horizon, predicted_channel,
+                 out[lo:lo + block.shape[0]])
+    return out
+
+
+def predict_series(model: StgcnModel, rows: np.ndarray, op: GraphOperator,
+                   horizon: int, predicted_channel: int) -> np.ndarray:
+    """Rollout over every stride-1 window of (T, S, K) rows.
+
+    Returns (T - P + 1, horizon, S): entry j forecasts from the window of
+    rows [j, j + P), as ``predict_batch`` would, but the first step is one
+    forward over all T rows.
+    """
+    cfg = model.config
+    rows = np.asarray(rows, dtype=np.float64)
+    if (rows.ndim != 3 or rows.shape[0] < cfg.history_steps
+            or rows.shape[1:] != (cfg.n_nodes, cfg.in_channels)):
+        raise ShapeError(
+            f"expected rows (T >= {cfg.history_steps}, {cfg.n_nodes}, "
+            f"{cfg.in_channels}), got {rows.shape}")
+    stages = model.stages(model._basis(op))
+    _check_rollout(rows, horizon, predicted_channel)
+    out = np.empty((rows.shape[0] - cfg.history_steps + 1, horizon, rows.shape[1]))
+    _rollout(stages, np.swapaxes(rows[np.newaxis], 1, 2), horizon, predicted_channel, out)
+    return out
+
+
+def _check_rollout(values: np.ndarray, horizon: int, predicted_channel: int) -> None:
+    if np.isnan(values).any():
         raise ValidationError("forecast windows contain missing values")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= predicted_channel < windows.shape[3]:
+    if not 0 <= predicted_channel < values.shape[-1]:
         raise ValidationError(
             f"predicted channel {predicted_channel} out of range for "
-            f"{windows.shape[3]} channels")
+            f"{values.shape[-1]} channels")
 
-    n = windows.shape[0]
-    out = np.empty((n, horizon, windows.shape[2]))
-    for lo in range(0, n, batch_size):
-        block = windows[lo:lo + batch_size]
-        h = np.swapaxes(block, 1, 2)                         # (B, S, P, K)
-        tails = []
-        for context, layer in stages:
-            tails.append(h[:, :, h.shape[2] - context:].copy() if context else None)
+
+def _tails(h: np.ndarray, context: int, span: int, n_pos: int) -> np.ndarray:
+    """Columns [j + span - context, j + span) of (B, S, T, C) ``h`` for every
+    window position j < n_pos, as a fresh (B n_pos, S, context, C) array."""
+    lo = span - context
+    if n_pos == 1:                                       # T = P: a plain slice
+        return h[:, :, lo:span].copy()
+    b, s, _, c = h.shape
+    cols = sliding_window_view(h[:, :, lo:lo + n_pos + context - 1], context, axis=2)
+    return np.array(cols.transpose(0, 2, 1, 4, 3)).reshape(b * n_pos, s, context, c)
+
+
+def _rollout(stages: list, x: np.ndarray, horizon: int, predicted_channel: int,
+             out: np.ndarray) -> None:
+    """Forecast every P-column window of (B, S, T, K) ``x`` into ``out``.
+
+    ``out`` is (B (T - P + 1), horizon, S), window positions varying fastest.
+    Step 1 runs each layer once over all T columns; before the fc, the
+    positions are folded into the batch. Each later step streams one column
+    per window through ``stages``, from the tails step 1 left.
+    """
+    b, s, t, _ = x.shape
+    n_pos = out.shape[0] // b
+    p = span = t - n_pos + 1                             # span: each layer's window
+    h, tails = x, []
+    for i, (context, layer) in enumerate(stages):
+        tails.append(_tails(h, context, span, n_pos) if context and horizon > 1 else None)
+        if i == len(stages) - 1:                         # fold positions into the batch
+            h = np.swapaxes(h, 1, 2).reshape(b * n_pos, s, 1, h.shape[3])
+        h = layer(h).data
+        span -= context
+    out[:, 0] = h[:, :, 0]
+    if horizon == 1:
+        return
+    nxt = _tails(x, 1, p, n_pos)[:, :, 0]                # hold exogenous channels
+    for step in range(1, horizon):
+        nxt[:, :, predicted_channel] = h[:, :, 0]
+        h = nxt[:, :, np.newaxis]                        # (B n_pos, S, 1, K)
+        for i, (context, layer) in enumerate(stages):
+            if context:
+                h = np.concatenate([tails[i], h], axis=2)
+                tails[i] = h[:, :, 1:]
             h = layer(h).data
-        out[lo:lo + block.shape[0], 0] = h[:, :, 0]
-        nxt = block[:, -1].copy()                            # hold exogenous channels
-        for step in range(1, horizon):
-            nxt[:, :, predicted_channel] = h[:, :, 0]
-            h = nxt[:, :, np.newaxis]                        # (B, S, 1, K)
-            for i, (context, layer) in enumerate(stages):
-                if context:
-                    h = np.concatenate([tails[i], h], axis=2)
-                    tails[i] = h[:, :, 1:]
-                h = layer(h).data
-            out[lo:lo + block.shape[0], step] = h[:, :, 0]
-    return out
+        out[:, step] = h[:, :, 0]
 
 
 def save_model(path, model: StgcnModel, meta: dict | None = None) -> None:
@@ -468,8 +573,11 @@ def load_model(path) -> tuple[StgcnModel, dict]:
         raw = dict(meta["model_config"])
         raw["channels"] = tuple(raw["channels"])
         config = ModelConfig(**raw)
+        config.validate()   # sizes the model before StgcnModel allocates it
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"checkpoint lacks a usable model config: {exc}") from exc
+    except ConfigError as exc:
+        raise ValidationError(f"checkpoint model config: {exc}") from exc
     model = StgcnModel(config, seed=0)
     params = model.parameters()
     if set(params) != set(blocks):

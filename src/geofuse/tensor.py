@@ -236,13 +236,18 @@ def _conv_forward(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-2] + (x.shape[-2] - f + 1, c_out))
 
 
-def _conv_backward(x: np.ndarray, kernel: np.ndarray,
-                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``_conv_forward`` for input and kernel given output grad ``g``."""
+def _conv_backward(x: np.ndarray, kernel: np.ndarray, g: np.ndarray,
+                   need_gx: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of ``_conv_forward`` for input and kernel given output grad ``g``.
+
+    With ``need_gx`` False the input gradient is skipped and returned as None.
+    """
     f, c_in, c_out = kernel.shape
     t_out = g.shape[-2]
     g2 = g.reshape(-1, c_out)
     gk = (_im2col(x, f).T @ g2).reshape(kernel.shape)
+    if not need_gx:
+        return None, gk
     gcols = (g2 @ kernel.reshape(f * c_in, c_out).T).reshape(g.shape[:-1] + (f, c_in))
     gx = np.zeros_like(x)
     for d in range(f):
@@ -257,7 +262,8 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
     x[..., d:d+T-f+1, :] @ kernel[d]`` (one im2col matmul) the result is
     ``(full[..., :C_out] + bias_lin) * expit(full[..., C_out:] + bias_gate)``,
     shape (..., T-f+1, C_out); the gradients of all four inputs come from one
-    hand-written vector-Jacobian product.
+    hand-written vector-Jacobian product, which skips the input's when
+    ``x`` does not require one (the data windows of the first layer).
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     bias_lin, bias_gate = _as_tensor(bias_lin), _as_tensor(bias_gate)
@@ -288,7 +294,7 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
         g_lin = g * gate
         g_gate = g * lin * gate * (1.0 - gate)
         gx, gk = _conv_backward(x.data, kernel.data,
-                                np.concatenate([g_lin, g_gate], axis=-1))
+                                np.concatenate([g_lin, g_gate], axis=-1), x.requires_grad)
         return gx, gk, _unbroadcast(g_lin, (c_out,)), _unbroadcast(g_gate, (c_out,))
 
     return _make_output(lin * gate, (x, kernel, bias_lin, bias_gate), backward_fn)

@@ -78,6 +78,20 @@ def test_haversine_quarter_circle():
     assert np.array_equal(m, m.T)
 
 
+def test_haversine_rejects_coordinates_off_the_globe():
+    edge = np.array([[-180.0, -90.0], [359.9, 90.0], [180.1, 0.0]])
+    assert np.isfinite(pairwise_distances(edge, metric="haversine_km")).all()
+    for lon, lat, name in ((360.0, 0.0, "longitudes"), (-180.5, 0.0, "longitudes"),
+                           (0.0, 90.5, "latitudes"), (0.0, 1000.0, "latitudes"),
+                           (0.0, -91.0, "latitudes")):
+        bad = np.array([[lon, lat]])
+        with pytest.raises(ValidationError, match=name):
+            pairwise_distances(np.vstack([edge, bad]), metric="haversine_km")
+        with pytest.raises(ValidationError, match=name):
+            cross_distances(edge, bad, metric="haversine_km")
+        assert cross_distances(edge, bad).shape == (3, 1)   # planar: any finite point
+
+
 def test_two_point_weights_match_closed_form():
     config = RbfConfig(shape_c=1.0, ridge=0.0)
     interp = build_interpolant(

@@ -6,7 +6,8 @@ through ``main`` against a model trained once for the module. ``main`` must
 return 0-7 and never raise. A fused.csv that breaks the observation rules
 exits 3, and a non-finite adjacency weight exits 5. A station graph with no
 edge exits 5 without a warning, and so does an observation too large for a
-float64 variance in ``report`` (exit 7).
+float64 variance in ``report`` (exit 7). A model larger than physical memory
+exits 2 from the config and 7 from a checkpoint, before any weight is drawn.
 """
 
 import contextlib
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import geofuse.stgcn
+from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.cli import main
 from geofuse.errors import ValidationError
 from geofuse.metrics import kde
@@ -202,6 +205,52 @@ def test_huge_observation_fails_the_report_quietly(scenario, tmp_path):
     assert [str(w.message) for w in caught] == []
     assert "1e+200" in err.getvalue()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["observations.csv"]
+
+
+def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_path,
+                                                               monkeypatch):
+    """A config or a checkpoint whose model outgrows physical memory exits 2 or 7.
+
+    The requests are petabytes and hundreds of terabytes; drawing any weight
+    fails the test, so nothing is ever allocated for them.
+    """
+    root, paths = scenario
+
+    def no_weights(*args):
+        raise AssertionError("a weight was drawn for an oversized model")
+
+    monkeypatch.setattr(geofuse.stgcn, "_glorot", no_weights)
+    oversized = {
+        "channels": ("channels = 4, 2, 4", "channels = 4, 2, 10000000", [4, 2, 10**7]),
+        "history_steps": ("history_steps = 6", f"history_steps = {10**12}", 10**12)}
+    blocks, meta = load_checkpoint(root / "model" / "model.ckpt")
+    out = tmp_path / "out"
+    for key, (line, big_line, big_value) in oversized.items():
+        config = tmp_path / "oversized.cfg"
+        config.write_text(CONFIG.replace(line, big_line))
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(forged, blocks, {**meta, "model_config": {**meta["model_config"],
+                                                                   key: big_value}})
+        model_args = ["--fused", str(paths["fused.csv"]), "--adjacency",
+                      str(paths["adjacency.csv"]), "--model", str(forged)]
+        runs = {
+            ("run-all", 2): ["--stations", str(paths["stations.csv"]),
+                             "--observations", str(paths["observations.csv"]),
+                             "--config", str(config), "--out-dir", str(out)],
+            ("train", 2): ["--fused", str(paths["fused.csv"]),
+                           "--adjacency", str(paths["adjacency.csv"]),
+                           "--config", str(config), "--out-dir", str(out)],
+            ("predict", 7): model_args + ["--out", str(out / "forecast.csv")],
+            ("evaluate", 7): model_args + ["--out-dir", str(out)],
+        }
+        for (command, want), args in runs.items():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command] + args)
+            lines = err.getvalue().splitlines()
+            assert code == want, (key, command, lines)
+            assert len(lines) == 1 and "physical memory" in lines[0], (key, command, lines)
+            assert not out.exists(), (key, command)
 
 
 @pytest.mark.parametrize("values, bandwidth", [([0.0, 1e300], 1e-300),

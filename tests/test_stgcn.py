@@ -26,6 +26,7 @@ from geofuse.stgcn import (
     load_model,
     predict,
     predict_batch,
+    predict_series,
     save_model,
     train,
 )
@@ -392,6 +393,54 @@ def test_streaming_rollout_matches_full_forward_loop(mode, order, time_kernel):
             # The first step is one full forward, bit for bit.
             assert np.array_equal(got[:, 0], ref[:, 0])
             _assert_rollout_close(got, ref[:, :horizon])
+
+
+@pytest.mark.parametrize("time_kernel", [1, 2, 3])
+@pytest.mark.parametrize("mode,order", [("chebyshev", 1), ("chebyshev", 3),
+                                        ("first_order", 1)])
+def test_series_rollout_matches_predict_batch(mode, order, time_kernel):
+    config = ModelConfig(n_nodes=4, in_channels=3, history_steps=9,
+                         channels=(4, 3, 4), time_kernel=time_kernel,
+                         graph_kernel=order, graph_mode=mode, dropout=0.3)
+    model = StgcnModel(config, seed=44)
+    cheb, ren = operators(4, seed=45)
+    op = cheb if mode == "chebyshev" else ren
+    rng = np.random.default_rng(46)
+    for t_rows in (9, 10, 308):              # 1, 2 and 300 windows
+        rows = rng.normal(size=(t_rows, 4, 3))
+        windows = np.stack([rows[j:j + 9] for j in range(t_rows - 8)])
+        for horizon in range(1, 5):
+            got = predict_series(model, rows, op, horizon, predicted_channel=2)
+            _assert_rollout_close(got, predict_batch(model, windows, op, horizon, 2))
+
+
+def test_series_rollout_over_a_split_with_dropped_windows():
+    values = np.random.default_rng(47).normal(size=(120, 4, 2))
+    values[[50, 71, 90], 2, 1] = np.nan
+    ds = make_windows(values, [f"s{i}" for i in range(4)], ["a", "b"], 6, 3, "a",
+                      split=(0.3, 0.3, 0.4))
+    model = StgcnModel(tiny_config(n_nodes=4, in_channels=2), seed=48)
+    cheb, _ = operators(4, seed=49)
+    for name in ("val", "test"):
+        blocks = ds.series(name)
+        assert len(blocks) >= 2
+        got = np.concatenate([predict_series(model, rows, cheb, 3, 0) for rows in blocks])
+        _assert_rollout_close(got, predict_batch(model, ds.part(name)[0], cheb, 3, 0))
+
+
+def test_predict_series_validation():
+    model = StgcnModel(tiny_config(), seed=50)
+    cheb, _ = operators(3, seed=51)
+    for shape in ((5, 3, 2), (6, 4, 2), (6, 3, 1), (1, 6, 3, 2)):
+        with pytest.raises(ShapeError, match="expected rows"):
+            predict_series(model, np.zeros(shape), cheb, 1, 0)
+    rows = np.zeros((8, 3, 2))
+    rows[7, 1, 1] = np.nan
+    with pytest.raises(ValidationError, match="missing"):
+        predict_series(model, rows, cheb, 1, 0)
+    with pytest.raises(ValidationError, match="horizon"):
+        predict_series(model, rows[:7], cheb, 0, 0)
+    assert predict_series(model, rows[:7], cheb, 2, 1).shape == (2, 2, 3)
 
 
 def test_rollout_holds_exogenous_and_feeds_back():

@@ -188,6 +188,33 @@ def test_gated_conv1d_time_grads():
                           np.random.default_rng(46)), [x, k, b_lin, b_gate])
 
 
+def test_gated_conv1d_time_skips_the_input_gradient_no_one_reads(monkeypatch):
+    rng = np.random.default_rng(49)
+    arrays = [rng.standard_normal((2, 3, 7, 3)), rng.standard_normal((3, 3, 4)),
+              rng.standard_normal(2), rng.standard_normal(2)]
+    input_grads = []
+
+    def spy(*args):
+        gx, gk = conv_backward(*args)
+        input_grads.append(gx)
+        return gx, gk
+
+    conv_backward = gt._conv_backward
+    monkeypatch.setattr(gt, "_conv_backward", spy)
+    grads = {}
+    for wants_gx in (True, False):
+        x = gt.Tensor(arrays[0], requires_grad=wants_gx)
+        params = [gt.Tensor(a, requires_grad=True) for a in arrays[1:]]
+        with gt.Tape():
+            loss = projected(gt.gated_conv1d_time(x, *params), np.random.default_rng(50))
+        gt.backward(loss)
+        grads[wants_gx] = [p.grad for p in params]
+        assert (x.grad is not None) == wants_gx
+    assert input_grads[0] is not None and input_grads[1] is None
+    for with_gx, without in zip(grads[True], grads[False]):
+        assert np.array_equal(with_gx, without)
+
+
 def composed_gated_conv(x, k, b_lin, b_gate):
     """The gated conv composed in plain numpy: the reference the tape op must match.
 

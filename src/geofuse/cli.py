@@ -138,7 +138,7 @@ def _check_predicted_target(config: PipelineConfig, target_ids: list[str]) -> No
 def _ingest(stations_path, observations_path, max_gap_hours: int):
     with _phase(EXIT_INGEST):
         stations = load_stations(stations_path)
-        raw = load_observations(observations_path, stations)
+        raw = load_observations(observations_path, stations, max_gap_hours)
         cleaned = clean_panel(raw, max_gap_hours)
     return stations, raw, cleaned
 

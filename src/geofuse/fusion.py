@@ -8,13 +8,14 @@ The interpolant through N sources solves A w = b where A[i, j] =
 exp(-c * dist(i, j)^2) plus a diagonal ridge, and evaluates as F(q) = sum_j
 w_j * exp(-c * dist(q, j)^2). The Gaussian kernel makes A symmetric positive
 definite for distinct sources, so the solve is a Cholesky factorization with
-iterative refinement. A panel is fused with one kernel per target and one
-factorization and multi-right-hand-side solve per (target, availability
-pattern), and every hour keeps the bits of a one-hour fusion. Distances and
-per-target kernels are built once per (coordinates, native mask, metric,
-shape_c) and the latest such geometry is kept, so the online path, one
-``fuse_time_step`` per hour over the same stations, pays only for the solves.
-The ridge goes on copies; the bits do not change.
+iterative refinement. A panel is fused with one kernel block, one
+factorization and one multi-right-hand-side solve per (target, availability
+pattern), and every hour keeps the bits of a one-hour fusion. The pairwise
+distances and each target's resolved shape are computed once per
+(coordinates, native mask, metric, shape_c) and only the latest such geometry
+is kept, so the online path, one ``fuse_time_step`` per hour over the same
+stations, pays only for the kernel blocks and the solves. The cache holds the
+read-only distances and a tuple of shapes, about S^2 * 8 bytes.
 """
 
 from __future__ import annotations
@@ -261,15 +262,22 @@ class FusionMatrix:
 
 
 @functools.lru_cache(maxsize=1)
-def _geometry(coords: bytes, native: bytes, distance_metric: str, shape_c: float | None):
-    """Read-only distances and an empty kernel dict for the latest station set.
+def _geometry(coords: bytes, native: tuple[bytes, ...], distance_metric: str,
+              shape_c: float | None):
+    """Read-only pairwise distances and a tuple of one resolved shape per target.
 
-    ``native`` and ``shape_c`` key the kernels ``fuse_panel`` puts in the
-    dict. Only one geometry is kept, and a call that raises is not kept.
+    ``native`` holds each target's native-station mask. Target k's shape is
+    ``resolve_shape_c`` on the distances between its native stations, or
+    ``shape_c`` itself when one is given. Nothing writes into the value after
+    it is built; only the latest geometry is kept, and a call that raises is
+    not kept.
     """
     dists = pairwise_distances(np.frombuffer(coords).reshape(-1, 2), distance_metric)
     dists.setflags(write=False)
-    return dists, {}
+    config = RbfConfig(shape_c=shape_c)
+    nats = [np.flatnonzero(np.frombuffer(mask, dtype=bool)) for mask in native]
+    shapes = tuple(resolve_shape_c(dists[np.ix_(nat, nat)], config) for nat in nats)
+    return dists, shapes
 
 
 def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
@@ -280,7 +288,7 @@ def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
     This is ``fuse_panel`` on a one-hour panel, so the kernel shape for
     target k comes from the geometry of all of k's native stations and does
     not drift when some of them drop out for an hour. Its distances and
-    kernels are built once per station set and config, not per call.
+    shapes are computed once per station set and config, not per call.
     Raises FusionError when no station has a reading of some target.
     """
     panel_slice = np.asarray(panel_slice, dtype=np.float64)
@@ -297,22 +305,20 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     """Fuse every time step of a panel into a dense matrix with provenance.
 
     Hours are grouped by (target, availability pattern); each group gets one
-    Cholesky factor, one query basis and one multi-right-hand-side solve, and
+    kernel block, one Cholesky factor and one multi-right-hand-side solve, and
     each hour's values equal ``fuse_time_step`` on that hour, bit for bit.
-    The pairwise distances and one kernel per target that has a cell to
-    fill, at the shape its native stations give (one shared kernel for an
-    explicit ``shape_c``), come from the geometry cache of the latest
-    station set, so a repeat station set and config evaluates none; each
-    pattern's Gram and query blocks are copied out of that kernel. Raises
-    FusionError for the earliest (hour, target) with no source.
+    The pairwise distances and each target's shape come from the geometry
+    cache of the latest station set; a group's Gram and query rows are one
+    Gaussian evaluation of the distances from its sources and queries to its
+    sources. Raises FusionError for the earliest (hour, target) with no source.
     """
     config = config or RbfConfig()
     config.validate()
     panel.validate()
     coords = np.array([[st.x, st.y] for st in panel.stations], dtype=np.float64)
     native = panel.native_mask()
-    dists, kernels = _geometry(coords.tobytes(), native.tobytes(),
-                               config.distance_metric, config.shape_c)
+    dists, shapes = _geometry(coords.tobytes(), tuple(m.tobytes() for m in native.T),
+                              config.distance_metric, config.shape_c)
     raw_mask = native & ~np.isnan(panel.values)
     no_source = ~raw_mask.any(axis=1)
     if no_source.any():
@@ -328,21 +334,14 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
         hours: dict[bytes, list[int]] = {}
         for t in np.flatnonzero(needs_fill[k]):
             hours.setdefault(by_target[k, t].tobytes(), []).append(t)
-        if not hours:
-            continue
-        slot = k if config.shape_c is None else None  # an explicit shape serves every target
-        if slot not in kernels:
-            nat = np.flatnonzero(native[:, k])
-            kernels[slot] = gaussian_rbf(dists, resolve_shape_c(dists[np.ix_(nat, nat)], config))
-            kernels[slot].setflags(write=False)
-        kernel = kernels[slot]
         for ts in hours.values():
             available = by_target[k, ts[0]]
             rows = np.array(ts)[:, np.newaxis]
             src, query = np.flatnonzero(available), np.flatnonzero(~available)
-            a = _add_ridge(kernel[np.ix_(src, src)], config)
+            block = gaussian_rbf(dists[np.ix_(np.concatenate([src, query]), src)], shapes[k])
+            a = _add_ridge(block[:len(src)], config)
             w = _solve_refined(_factor(a), a, values[rows, src, k])
-            values[rows, query, k] = _matvecs(kernel[np.ix_(query, src)], w)
+            values[rows, query, k] = _matvecs(block[len(src):], w)
 
     fused = FusionMatrix(
         timestamps=list(panel.timestamps),

@@ -204,7 +204,7 @@ class LongFormat:
     spec: str
     tags: tuple[str, ...]
 
-    def read(self, path, cells):
+    def read(self, path, cells, max_gap_hours: int | None = None):
         """``(timestamps, station_ids, target_ids, values, codes)`` of a file.
 
         ``values`` is (T, S, K) with NaN where no row gave a value, and
@@ -216,7 +216,9 @@ class LongFormat:
         Row rule: a timestamp is parsed once per distinct text and must be
         naive and on the hour; a value must be finite, and the empty field
         is the only missing-value marker. Grid rule: the time axis is every
-        hour from the first to the last, and the later of two rows for one
+        hour from the first to the last, with no run of more than
+        ``max_gap_hours`` (0 when ``cells`` is None) hours without a row,
+        checked before the grid is allocated; the later of two rows for one
         cell wins. An error names its line, or the first missing hour or cell.
         """
         dense = cells is None
@@ -269,9 +271,13 @@ class LongFormat:
 
         seen = np.unique(np.fromiter(hours.values(), dtype=np.int64))
         h0, n_hours = int(seen[0]), int(seen[-1] - seen[0]) + 1
-        if dense and seen.size < n_hours:  # checked before the grid is allocated
-            gap = datetime.min + (int(seen[:-1][np.diff(seen) > 1][0]) + 1) * HOUR
-            raise ValidationError(f"{path} has no rows for hour {_stamp(gap)}")
+        limit = 0 if dense else max_gap_hours
+        empty = np.diff(seen) - 1
+        if limit is not None and (empty > limit).any():
+            i = int(np.argmax(empty > limit))
+            gap = datetime.min + (int(seen[i]) + 1) * HOUR
+            raise ValidationError(f"{path} has no rows for hour {_stamp(gap)}, the first "
+                                  f"of {empty[i]} empty hours (at most {limit} allowed)")
         s_index = {sid: i for i, sid in enumerate(dict.fromkeys(sid for sid, _ in column))}
         k_index = {tid: i for i, tid in enumerate(dict.fromkeys(tid for _, tid in column))}
         offset = np.array([s_index[sid] * len(k_index) + k_index[tid] for sid, tid in column])
@@ -315,15 +321,17 @@ class LongFormat:
 OBSERVATIONS = LongFormat(OBSERVATIONS_HEADER, "%.6f", ())
 
 
-def load_observations(path, stations: list[Station]) -> ObservationPanel:
+def load_observations(path, stations: list[Station],
+                      max_gap_hours: int | None = None) -> ObservationPanel:
     """Read long-format observations into a dense hourly panel.
 
     Only the stations' native cells may appear, by the rules of
     ``LongFormat.read``; hours without rows become NaN rows rather than
-    silently shrinking the grid.
+    silently shrinking the grid. A longer run than ``max_gap_hours``, which
+    ``clean_panel`` could not fill, is a ValidationError when it is given.
     """
     timestamps, _, target_ids, values, _ = OBSERVATIONS.read(
-        path, [(st.id, t) for st in stations for t in st.targets])
+        path, [(st.id, t) for st in stations for t in st.targets], max_gap_hours)
     panel = ObservationPanel(timestamps, list(stations), target_ids, values)
     panel.validate()
     return panel

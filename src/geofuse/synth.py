@@ -24,6 +24,8 @@ from .ingest import OBSERVATIONS, ObservationPanel, Station, write_stations
 
 HOUR = timedelta(hours=1)
 _BUMPS = 3
+AR_RHO = 0.9                    # lag-1 correlation of the AR(1) modulation
+BUMP_RADIUS = (0.25, 0.45)      # range of the bumps' spatial scale
 
 
 @dataclass
@@ -39,8 +41,6 @@ class SynthConfig:
     coupling: float = 0.65     # exogenous share of the coupled (last) target
     coupling_lag: int = 2
     ar_strength: float = 0.0   # stationary std of a shared AR(1) driver modulation
-    ar_rho: float = 0.9
-    bump_radius: tuple[float, float] = (0.25, 0.45)  # spatial scale of the fields
     placement: str = "uniform"  # "uniform" scatter or coverage-oriented "grid"
 
     def validate(self) -> None:
@@ -68,11 +68,6 @@ class SynthConfig:
             raise ConfigError(f"coupling_lag must be >= 0, got {self.coupling_lag}")
         if not self.ar_strength >= 0:
             raise ConfigError(f"ar_strength must be >= 0, got {self.ar_strength}")
-        if not 0.0 <= self.ar_rho < 1.0:
-            raise ConfigError(f"ar_rho must be in [0, 1), got {self.ar_rho}")
-        lo, hi = self.bump_radius
-        if not 0.0 < lo <= hi:
-            raise ConfigError(f"bump_radius must be 0 < lo <= hi, got {self.bump_radius}")
         if self.placement not in ("uniform", "grid"):
             raise ConfigError(f"placement must be uniform or grid, got {self.placement!r}")
 
@@ -99,10 +94,9 @@ def _target_names(k: int) -> list[str]:
 class _BumpField:
     """Sum of orbiting Gaussian bumps, evaluated on fixed points over time."""
 
-    def __init__(self, rng: np.random.Generator, period_range: tuple[float, float],
-                 radius_range: tuple[float, float] = (0.25, 0.45)):
+    def __init__(self, rng: np.random.Generator, period_range: tuple[float, float]):
         self.amp = rng.uniform(0.8, 1.6, size=_BUMPS)
-        self.radius = rng.uniform(*radius_range, size=_BUMPS)
+        self.radius = rng.uniform(*BUMP_RADIUS, size=_BUMPS)
         self.orbit = rng.uniform(0.2, 0.4, size=_BUMPS)
         self.period = rng.uniform(*period_range, size=_BUMPS)
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=(2, _BUMPS))
@@ -147,15 +141,13 @@ def generate(config: SynthConfig | None = None) -> SynthResult:
     truth = np.empty((t_total, n_stations, n_targets))
     for k in range(n_targets):
         fast = k < n_targets - 1
-        fld = _BumpField(rng, (30.0, 70.0) if fast else (120.0, 200.0),
-                         config.bump_radius)
+        fld = _BumpField(rng, (30.0, 70.0) if fast else (120.0, 200.0))
         truth[:, :, k] = fld.sample(xy, t_total)
         if fast and config.ar_strength > 0.0:
             # Region-wide stochastic modulation: gives the drivers innovations
             # a downstream forecaster cannot recover from the coupled target's
             # own lagged history.
-            truth[:, :, k] += _ar1_series(rng, t_total, config.ar_strength,
-                                          config.ar_rho)[:, None]
+            truth[:, :, k] += _ar1_series(rng, t_total, config.ar_strength)[:, None]
     if n_targets > 1 and config.coupling > 0.0:
         drivers = truth[:, :, :-1].mean(axis=2)
         lagged = np.empty_like(drivers)
@@ -192,14 +184,13 @@ def _place_stations(rng: np.random.Generator, n: int, placement: str) -> np.ndar
     return np.clip(centers + jitter, 0.03, 0.97)
 
 
-def _ar1_series(rng: np.random.Generator, n: int, strength: float,
-                rho: float) -> np.ndarray:
-    """AR(1) with stationary standard deviation ``strength``."""
-    innovations = rng.normal(0.0, strength * np.sqrt(1.0 - rho * rho), size=n)
+def _ar1_series(rng: np.random.Generator, n: int, strength: float) -> np.ndarray:
+    """AR(1) with coefficient ``AR_RHO`` and stationary standard deviation ``strength``."""
+    innovations = rng.normal(0.0, strength * np.sqrt(1.0 - AR_RHO * AR_RHO), size=n)
     series = np.empty(n)
     series[0] = rng.normal(0.0, strength)
     for t in range(1, n):
-        series[t] = rho * series[t - 1] + innovations[t]
+        series[t] = AR_RHO * series[t - 1] + innovations[t]
     return series
 
 

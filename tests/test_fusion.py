@@ -4,14 +4,17 @@ The 2x2 weight solution and midpoint value below were computed once by hand
 (Cramer's rule / direct kernel evaluation) and are frozen as constants.
 """
 
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 import geofuse.fusion as gf
-from geofuse.errors import FusionError, SingularSystemError, ValidationError
+from geofuse.errors import FusionError, GeofuseError, SingularSystemError, ValidationError
 from geofuse.fusion import (
     DEFAULT_RIDGE,
     RbfConfig,
@@ -24,6 +27,7 @@ from geofuse.fusion import (
     pairwise_distances,
     resolve_shape_c,
 )
+from geofuse.graph import build_adjacency, renormalized_adjacency, scaled_laplacian
 from geofuse.ingest import ObservationPanel, Station
 from geofuse.synth import SynthConfig, generate
 from datetime import datetime, timedelta
@@ -157,45 +161,49 @@ def test_default_ridge_equals_explicit_constant():
     assert fuse_panel(panel).values.tobytes() == fuse_panel(panel, explicit).values.tobytes()
 
 
-def test_fuse_panel_evaluates_one_kernel_per_target(monkeypatch):
-    # A cold geometry evaluates one kernel per target with a cell to fill and
-    # none for a target with nothing to fill; an explicit shape_c evaluates
-    # one for all targets. A repeat on the same stations, targets and config
-    # evaluates none; a change to anything the kernels depend on evaluates
-    # anew, and the ridge alone does not.
+def test_geometry_is_one_distance_matrix_and_one_shape_per_target(monkeypatch):
+    # A cold geometry computes one distance matrix and one shape per target; a
+    # warm one computes neither. The ridge alone does not rebuild it; the
+    # coordinates, the native mask, the metric and shape_c do. Each (target,
+    # availability pattern) evaluates one Gaussian block from the distances of
+    # all S stations to its sources; a target with nothing to fill evaluates none.
     calls = []
-
-    def counted(dist, shape_c):
-        calls.append(np.shape(dist))
-        return gaussian_rbf(dist, shape_c)
-
-    monkeypatch.setattr(gf, "gaussian_rbf", counted)
+    for name in ("pairwise_distances", "resolve_shape_c", "gaussian_rbf"):
+        def counted(*args, _fn=getattr(gf, name), _name=name):
+            calls.append((_name, np.shape(args[0])))
+            return _fn(*args)
+        monkeypatch.setattr(gf, name, counted)
     gf._geometry.cache_clear()
     panel = _toy_panel(missing={(1, "a", "t1"), (2, "d", "t1"), (4, "b", "t2")})
 
-    def kernels(stations=panel.stations, config=RbfConfig()):
+    def built(stations=panel.stations, config=RbfConfig()):
         calls.clear()
         fuse_panel(ObservationPanel(panel.timestamps, stations, panel.target_ids,
                                     panel.values), config)
-        return calls.copy()
+        return [sum(n == name for n, _ in calls)
+                for name in ("pairwise_distances", "resolve_shape_c")]
 
-    assert kernels() == [(4, 4), (4, 4)]
+    assert built() == [1, 2]
+    # t1 (sources a, b, d) fills c every hour, and a or d too at hours 1 and
+    # 2; t2 (sources b, c) fills a and d, and b too at hour 4.
+    blocks = sorted(shape for n, shape in calls if n == "gaussian_rbf")
+    assert blocks == [(4, 1), (4, 2), (4, 2), (4, 2), (4, 3)]
     calls.clear()
     fuse_time_step(panel.values[1], panel.stations, panel.target_ids)
-    assert calls == []
-    assert kernels() == []
-    assert kernels(config=RbfConfig(ridge=0.0)) == []
-    assert kernels(config=RbfConfig(ridge=1e-3)) == []
+    assert [n for n, _ in calls] == ["gaussian_rbf"] * 2
+    assert built() == [0, 0]
+    assert built(config=RbfConfig(ridge=0.0)) == [0, 0]
+    assert built(config=RbfConfig(ridge=1e-3)) == [0, 0]
     a, b, c, d = panel.stations
-    assert kernels([a, replace(b, x=b.x + 1e-9), c, d]) == [(4, 4)] * 2
-    assert kernels([a, b, replace(c, targets=("t2", "t1")), d]) == [(4, 4)] * 2
-    assert kernels(config=RbfConfig(distance_metric="haversine_km")) == [(4, 4)] * 2
-    assert kernels(config=RbfConfig(shape_c=2.0)) == [(4, 4)]
-    assert kernels(config=RbfConfig(shape_c=2.0)) == []
+    assert built([a, replace(b, x=b.x + 1e-9), c, d]) == [1, 2]
+    assert built([a, b, replace(c, targets=("t2", "t1")), d]) == [1, 2]
+    assert built(config=RbfConfig(distance_metric="haversine_km")) == [1, 2]
+    assert built(config=RbfConfig(shape_c=2.0)) == [1, 2]
+    assert built(config=RbfConfig(shape_c=2.0)) == [0, 0]
     calls.clear()
     stations = [make_station("a", 0.0, 0.0), make_station("b", 1.0, 0.0)]
     fuse_panel(ObservationPanel(hourly(3), stations, ["t1"], np.ones((3, 2, 1))))
-    assert calls == []
+    assert [n for n, _ in calls if n == "gaussian_rbf"] == []
 
 
 @pytest.mark.parametrize("config", [
@@ -224,14 +232,18 @@ def test_geometry_cache_is_bounded_and_read_only():
         fuse_panel(panel, RbfConfig(shape_c=1.0 + i))
         assert gf._geometry.cache_info().currsize == min(i + 1, bound)
     coords = np.array([[st.x, st.y] for st in panel.stations]).tobytes()
-    native = panel.native_mask().tobytes()
-    for config, n_kernels in ((RbfConfig(), 2), (RbfConfig(shape_c=2.0), 1)):
+    native = tuple(m.tobytes() for m in panel.native_mask().T)
+    d = pairwise_distances(np.frombuffer(coords).reshape(-1, 2))
+    auto = tuple(resolve_shape_c(d[np.ix_(nat, nat)], RbfConfig())
+                 for nat in ([0, 1, 3], [1, 2]))
+    for config, want in ((RbfConfig(), auto), (RbfConfig(shape_c=2.0), (2.0, 2.0))):
         fuse_panel(panel, config)
         hits = gf._geometry.cache_info().hits
-        dists, kernels = gf._geometry(coords, native, config.distance_metric, config.shape_c)
+        dists, shapes = gf._geometry(coords, native, config.distance_metric, config.shape_c)
         assert gf._geometry.cache_info().hits == hits + 1
-        assert len(kernels) == n_kernels
-        assert not any(m.flags.writeable for m in (dists, *kernels.values()))
+        assert np.array_equal(dists, d) and not dists.flags.writeable
+        assert type(shapes) is tuple and shapes == want
+        assert all(type(c) is float for c in shapes)
     # A build that raises is not kept.
     gf._geometry.cache_clear()
     broken = [*panel.stations[:3], make_station("d", np.nan, 0.4)]
@@ -405,3 +417,94 @@ def test_fusion_matrix_shape_rule():
     fused = fuse_panel(panel)
     assert fused.values.shape == (9, 4, 2)
     assert [st.id for st in panel.stations] == fused.station_ids
+
+
+LAYOUTS = ("cluster", "grid", "line", "near_duplicate", "pole", "antimeridian")
+
+
+def _layout(kind: str, n: int, scale: float, offset: float, metric: str,
+            rng: np.random.Generator) -> np.ndarray:
+    """(n, 2) station coordinates of one degenerate layout.
+
+    Planar layouts are shifted by ``offset`` under the euclidean metric and
+    centred on a random point of the globe under haversine_km; every
+    haversine layout is clipped onto the globe, which may merge stations.
+    """
+    if kind == "cluster":
+        pts = rng.normal(0.0, scale, size=(n, 2))
+    elif kind == "grid":
+        pts = scale * np.stack(np.divmod(np.arange(n), int(np.ceil(np.sqrt(n)))), axis=1)
+    elif kind == "line":
+        angle = rng.uniform(0.0, np.pi)
+        pts = scale * np.outer(rng.uniform(0.0, 1.0, n), [np.cos(angle), np.sin(angle)])
+    elif kind == "near_duplicate":
+        base = rng.uniform(0.0, scale, size=((n + 1) // 2, 2))
+        pts = np.vstack([base, base + rng.normal(0.0, 1e-9 * scale, base.shape)])[:n]
+    elif kind == "pole":
+        pts = np.column_stack([rng.uniform(-180.0, 180.0, n),
+                               90.0 - np.abs(rng.normal(0.0, min(scale, 90.0), n))])
+    else:  # antimeridian: both sides of longitude 180, near the equator
+        pts = np.column_stack([180.0 + rng.normal(0.0, min(scale, 180.0), n),
+                               rng.normal(0.0, min(scale, 90.0), n)])
+    pts = np.asarray(pts, dtype=np.float64)
+    if kind not in ("pole", "antimeridian"):
+        pts = pts + (offset if metric == "euclidean"
+                     else [rng.uniform(-180.0, 360.0), rng.uniform(-90.0, 90.0)])
+    if metric == "haversine_km":
+        pts[:, 0] = np.clip(pts[:, 0], -180.0, np.nextafter(360.0, 0.0))
+        pts[:, 1] = np.clip(pts[:, 1], -90.0, 90.0)
+    return pts
+
+
+def test_degenerate_geometry_keeps_the_numerical_contracts():
+    """Clusters, grids, lines, near-duplicates, the pole and the antimeridian.
+
+    Each layout is fused (all stations measure t1, every other one t2, with
+    random t1 gaps) and made into a graph with both operators, numpy warnings
+    raised as errors. Each half either raises a GeofuseError, or keeps the raw
+    cells bit for bit with only finite values, or gives spectra in [-1, 1].
+    The SingularSystemError count is printed, not asserted: a better shape
+    rule should lower it.
+    """
+    singular, cases = Counter(), Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(LAYOUTS), n=st.integers(1, 25),
+           scale_exp=st.integers(-12, 12), offset=st.sampled_from([0.0, 1e3, 1e8, 1e16]),
+           metric=st.sampled_from(["euclidean", "haversine_km"]),
+           ridge=st.sampled_from([0.0, None]), seed=st.integers(0, 2**32 - 1))
+    def check(kind, n, scale_exp, offset, metric, ridge, seed):
+        rng = np.random.default_rng(seed)
+        pts = _layout(kind, n, 10.0 ** scale_exp, offset, metric, rng)
+        stations = [make_station(f"s{i}", x, y, ("t1", "t2") if i % 2 == 0 else ("t1",))
+                    for i, (x, y) in enumerate(pts)]
+        values = rng.normal(size=(3, n, 2)) * 10.0 ** rng.uniform(-3, 6)
+        values[:, 1::2, 1] = np.nan
+        values[:, 1:, 0][rng.random((3, n - 1)) < 0.3] = np.nan
+        panel = ObservationPanel(hourly(3), stations, ["t1", "t2"], values)
+        cases[kind] += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fused = fuse_panel(panel, RbfConfig(ridge=ridge, distance_metric=metric))
+            except SingularSystemError:
+                singular[kind, metric] += 1
+            except GeofuseError:
+                pass
+            else:
+                raw = fused.raw_mask
+                assert np.array_equal(raw, ~np.isnan(values))
+                assert fused.values[raw].tobytes() == values[raw].tobytes()
+                assert np.isfinite(fused.values).all()
+            try:
+                adjacency = build_adjacency(pairwise_distances(pts, metric))
+                operators = (renormalized_adjacency(adjacency), scaled_laplacian(adjacency))
+            except GeofuseError:
+                return
+            for op in operators:
+                eig = np.linalg.eigvalsh(op.matrix)
+                assert eig.min() >= -1.0 - 1e-10 and eig.max() <= 1.0 + 1e-10, op.kind
+
+    check()
+    print(f"\nSingularSystemError in {sum(singular.values())} of "
+          f"{sum(cases.values())} layouts: {dict(singular)}")

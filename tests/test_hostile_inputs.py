@@ -7,12 +7,15 @@ return 0-7 and never raise. A fused.csv that breaks the observation rules
 exits 3, and a non-finite adjacency weight exits 5. A station graph with no
 edge exits 5 without a warning, and so does an observation too large for a
 float64 variance in ``report`` (exit 7). A model larger than physical memory
-exits 2 from the config and 7 from a checkpoint, before any weight is drawn.
+exits 2 from the config and 7 from a checkpoint, before any weight is drawn,
+and observations with a century between two rows exit 3 before the hourly
+grid is allocated.
 """
 
 import contextlib
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,6 +254,42 @@ def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_pat
             assert code == want, (key, command, lines)
             assert len(lines) == 1 and "physical memory" in lines[0], (key, command, lines)
             assert not out.exists(), (key, command)
+
+
+def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path):
+    """Two rows a century apart: fuse and run-all exit 3 naming the first empty hour.
+
+    The gap is longer than max_gap_hours, so no hour of it could be fused; a
+    century of hourly cells is never allocated for it.
+    """
+    root, paths = scenario
+    lines = paths["observations.csv"].read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("2017-01-02T15:00,")
+    century = tmp_path / "observations.csv"
+    century.write_text("".join(lines[:-1]) + "2117" + lines[-1][4:])
+    runs = {
+        "fuse": ["--stations", str(paths["stations.csv"]), "--observations", str(century),
+                 "--out", str(tmp_path / "fused.csv")],
+        "run-all": ["--stations", str(paths["stations.csv"]), "--observations", str(century),
+                    "--config", str(root / "run.cfg"), "--out-dir", str(tmp_path / "out")],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command] + args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = err.getvalue().splitlines()
+        assert code == 3, (command, lines)
+        assert len(lines) == 1 and "no rows for hour 2017-01-02T16:00" in lines[0], lines
+        assert [str(w.message) for w in caught] == [], command
+        assert peak < 16 * 2**20, (command, peak)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["observations.csv"], command
 
 
 @pytest.mark.parametrize("values, bandwidth", [([0.0, 1e300], 1e-300),

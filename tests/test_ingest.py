@@ -82,7 +82,7 @@ def test_load_stations_errors(tmp_path):
 
 
 def test_load_observations_builds_hourly_grid(tmp_path):
-    _, panel = load_both(tmp_path)
+    stations, panel = load_both(tmp_path)
     # Rows at hours 0 and 2: hour 1 exists as an all-NaN grid row.
     assert len(panel.timestamps) == 3
     assert panel.timestamps[1] == datetime(2017, 1, 1, 1)
@@ -97,6 +97,13 @@ def test_load_observations_builds_hourly_grid(tmp_path):
     assert np.isnan(panel.values[0, 1, panel.target_ids.index("o3")])
     mask = panel.native_mask()
     assert mask[0, 0] and mask[0, 1] and not mask[0, 2]
+    # A bound on runs of hours without rows admits a run as long as itself.
+    path = tmp_path / "observations.csv"
+    bounded = load_observations(path, stations, max_gap_hours=1)
+    assert np.array_equal(bounded.values, panel.values, equal_nan=True)
+    with pytest.raises(ValidationError, match="no rows for hour 2017-01-01T01:00, "
+                                              "the first of 1 empty hours"):
+        load_observations(path, stations, max_gap_hours=0)
 
 
 def test_load_observations_errors(tmp_path):

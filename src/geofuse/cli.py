@@ -380,8 +380,10 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     with _phase(EXIT_INGEST):
         stations = load_stations(args.stations)
-        raw = load_observations(args.observations, stations)
         fused = read_fused_csv(args.fused)
+        # An empty run longer than the fused grid can never match it: refuse
+        # it before the observation grid is allocated.
+        raw = load_observations(args.observations, stations, len(fused.timestamps))
         if fused.station_ids != [st.id for st in stations]:
             raise ValidationError("fused stations do not match the station table")
         if fused.values.shape != raw.values.shape:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ValidationError
 
@@ -144,8 +143,8 @@ def _linear_bins(v: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def kde_l1_distance(grid, density_a, density_b) -> float:
     """Integral of |f - g| over a shared grid (trapezoid rule)."""
-    return float(trapezoid(np.abs(np.asarray(density_a) - np.asarray(density_b)),
-                           np.asarray(grid)))
+    return float(np.trapezoid(np.abs(np.asarray(density_a) - np.asarray(density_b)),
+                              np.asarray(grid)))
 
 
 @dataclass

@@ -13,26 +13,30 @@ split in half: linear part times sigmoid gate. Every temporal layer shortens
 the time axis by f_t - 1, so a window of P steps must satisfy
 P - 4 (f_t - 1) >= 1 before the head sees it.
 
-Training minimizes mean squared residual over the batch on the next-step
-target, with Adam and best-validation parameter selection. Multi-step
+Every temporal layer is a valid convolution along time and the graph conv,
+ReLU and fc act on each column alone, so one forward over a T-row block gives
+the next-step forecast of each of its T - P + 1 stride-1 windows.
+``StgcnModel.forward_rows`` is that forward: it runs the stages over
+(B, T, S, K) rows and, before the fc, folds the window positions into the
+batch, so the fc sees each window's column as its own entry. ``forward`` is
+its T = P case, where the fold only relabels.
+
+Training minimizes mean squared residual over the windows of a minibatch on
+the next-step target, with Adam and best-validation parameter selection. A
+minibatch is a few blocks of consecutive training windows under one forward;
+under dropout one mask covers every window that shares a column. Multi-step
 forecasts at inference iterate the one-step model, writing each prediction
 back into the window's predicted channel while exogenous channels hold their
-last value.
-
-The rollout runs one forward per contiguous run of windows. Every temporal
-layer is a valid convolution along time and the graph conv, ReLU and fc act
-on each column alone, so one forward over a T-row series gives the first
-forecast of each of its T - P + 1 stride-1 windows: ``predict_series`` does
-that for a block of rows, ``predict_batch`` for stacked windows (T = P). The
-fc sees each window's column as its own batch entry, as in ``forward``.
-Later steps stream: each step shifts every window by one column, so every
-layer has one new output column. Each gated temporal conv keeps its window's
-last f_t - 1 input columns and the head its last head_time_steps - 1
-(nothing for the graph conv, ReLU and fc), gathered from the first forward's
-activations; a later step runs each layer on those plus the new column. The
-matmuls then run over other row counts, so BLAS may sum in another order,
-and later steps can differ from a full forward on the shifted window in the
-last bits.
+last value. The rollout's first step is the same forward: ``predict_series``
+runs it over each contiguous run of windows, ``predict_batch`` over stacked
+windows (T = P). Later steps stream: each step shifts every window by one
+column, so every layer has one new output column. Each gated temporal conv
+keeps its window's last f_t - 1 input columns and the head its last
+head_time_steps - 1 (nothing for the graph conv, ReLU and fc), gathered from
+the first forward's activations; a later step runs each layer on those plus
+the new column. The matmuls then run over other row counts, so BLAS may sum
+in another order, and later steps can differ from a full forward on the
+shifted window in the last bits.
 """
 
 from __future__ import annotations
@@ -173,7 +177,7 @@ class GraphConv:
 
     The forward pass is a single ``graph_conv`` tape op on the whole
     (order, c_in, c_out) kernel and the constant (order, S, S) basis that
-    ``GraphConv.basis`` builds. ``StgcnModel.forward`` builds it once per
+    ``GraphConv.basis`` builds. ``StgcnModel.forward_rows`` builds it once per
     call, after checking the operator's kind and shape, and hands it to both
     blocks.
     """
@@ -262,15 +266,16 @@ class StgcnModel:
             raise ShapeError(
                 f"graph operator is {op.matrix.shape}, model has {n} nodes")
 
-    def _check_inputs(self, shape: tuple[int, ...], op: GraphOperator) -> np.ndarray:
-        """Check (B, P, S, K) windows and the operator; return the graph basis."""
+    def _check_shape(self, shape: tuple[int, ...], rows: bool = False) -> None:
+        """Reject anything but (B, P, S, K) windows, or with ``rows`` (B, T >= P,
+        S, K) rows."""
         cfg = self.config
-        if len(shape) != 4 or shape[1:] != (cfg.history_steps, cfg.n_nodes,
-                                            cfg.in_channels):
+        p = cfg.history_steps
+        if (len(shape) != 4 or shape[2:] != (cfg.n_nodes, cfg.in_channels)
+                or not (shape[1] >= p if rows else shape[1] == p)):
+            what = f"rows (B, T >= {p}" if rows else f"windows (B, {p}"
             raise ShapeError(
-                f"expected windows (B, {cfg.history_steps}, {cfg.n_nodes}, "
-                f"{cfg.in_channels}), got {shape}")
-        return self._basis(op)
+                f"expected {what}, {cfg.n_nodes}, {cfg.in_channels}), got {shape}")
 
     def _basis(self, op: GraphOperator) -> np.ndarray:
         """Check the operator; return the graph basis."""
@@ -282,7 +287,7 @@ class StgcnModel:
         """The model's layers in order, as (context, layer) pairs.
 
         Each layer maps a (B, S, T, C) input to T - context time steps (the
-        fc, last, to (B, S, 1)). ``forward`` runs them on the whole window;
+        fc, last, to (B, S, 1)). ``_fold_forward`` runs them on whole blocks;
         the streaming rollout runs them on each layer's last ``context``
         input columns plus one new column. Only here is the order declared.
         """
@@ -301,15 +306,50 @@ class StgcnModel:
 
     def forward(self, windows, op: GraphOperator, training: bool = False,
                 rng=None) -> Tensor:
-        """(B, P, S, K) windows -> (B, S, 1) next-step predictions."""
+        """(B, P, S, K) windows -> (B, S, 1) next-step predictions.
+
+        ``forward_rows`` at T = P: one window position per entry, so the fold
+        only relabels and the values are those of the unfolded stages.
+        """
         x = windows if isinstance(windows, Tensor) else Tensor(windows)
-        basis = self._check_inputs(x.shape, op)
+        self._check_shape(x.shape)
+        return self.forward_rows(x, op, training, rng)
+
+    def forward_rows(self, rows, op: GraphOperator, training: bool = False,
+                     rng=None) -> Tensor:
+        """(B, T, S, K) rows -> (B (T - P + 1), S, 1) next-step predictions.
+
+        Entry b (T - P + 1) + j forecasts from the window of rows [j, j + P)
+        of block b: one forward over each block, window positions varying
+        fastest (see ``_fold_forward``). Under dropout, one mask covers every
+        window that shares a column.
+        """
+        x = rows if isinstance(rows, Tensor) else Tensor(rows)
+        self._check_shape(x.shape, rows=True)
+        basis = self._basis(op)
         if training and self.config.dropout > 0.0 and rng is None:
             raise ValidationError("training forward with dropout needs an rng")
-        h = tz.swap_axes(x, 1, 2)                    # (B, S, P, K)
-        for _, layer in self.stages(basis, training, rng):
-            h = layer(h)
-        return h
+        return _fold_forward(self.stages(basis, training, rng), tz.swap_axes(x, 1, 2))
+
+
+def _fold_forward(stages: list, h: Tensor, before=None) -> Tensor:
+    """Run ``stages`` over (B, S, T, C) ``h``; return (B n_pos, S, 1).
+
+    Each layer runs once over all T columns. Before the fc, last, the
+    n_pos = T - P + 1 window positions left on the time axis are folded into
+    the batch with one ``swap_axes`` and one ``reshape``, so the fc sees each
+    window's column as its own entry. ``before(context, data)``, if given,
+    sees each stage's input first. Training, ``forward`` and the rollout's
+    first step all run the stages through here.
+    """
+    for i, (context, layer) in enumerate(stages):
+        if before is not None:
+            before(context, h.data)
+        if i == len(stages) - 1:
+            b, s, n_pos, c = h.shape
+            h = tz.reshape(tz.swap_axes(h, 1, 2), (b * n_pos, s, 1, c))
+        h = layer(h)
+    return h
 
 
 def l2_loss(pred: Tensor, target) -> Tensor:
@@ -361,9 +401,10 @@ def _keep_freed_pages() -> None:
 
     ``backward`` frees each step's arrays; with glibc's defaults their pages
     go back to the kernel and the next step faults them in again, about a
-    third of a step's time. M_MMAP_THRESHOLD = 32 MiB is the top of glibc's
-    dynamic range and M_TRIM_THRESHOLD = 64 MiB twice that, glibc's own
-    rule; setting either one stops the dynamic adjustment, so both are set.
+    sixth of the training time at c07's shape. M_MMAP_THRESHOLD = 32 MiB is
+    the top of glibc's dynamic range and M_TRIM_THRESHOLD = 64 MiB twice
+    that, glibc's own rule; setting either one stops the dynamic
+    adjustment, so both are set.
     Only ``train`` calls this, so a process that never trains keeps the
     defaults. Without glibc's ``mallopt``, a no-op.
     """
@@ -376,11 +417,61 @@ def _keep_freed_pages() -> None:
     mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
+# Windows per training block. A minibatch is batch_size // _BLOCK blocks (one
+# block of batch_size windows when that is smaller) of _BLOCK + P - 1 rows
+# each. At batch size 32, blocks of 16 trained c07's setup faster than blocks
+# of 8 or 32, and c08's faster than blocks of 8.
+_BLOCK = 16
+
+
+def _minibatches(runs: list[np.ndarray], targets: np.ndarray, history_steps: int,
+                 batch_size: int, rng: np.random.Generator):
+    """One epoch of minibatches, each a stack of blocks of consecutive windows.
+
+    ``runs`` are a split's row blocks (``WindowedDataset.series``) and
+    ``targets`` its windows' (N, S, 1) targets in ``part`` order. With
+    L = min(_BLOCK, batch_size) and an offset o drawn from ``rng`` in [0, L),
+    a run of n windows is cut into whole blocks of l = min(L, n) windows,
+    the first at window o mod (n - l + 1), so every run gives at least one
+    and a run shorter than L is one block; the windows before a run's first
+    block and after its last sit out the epoch. The blocks are shuffled, up
+    to batch_size // l blocks of one length l make a minibatch, and the
+    minibatches come in shuffled order; every draw from ``rng`` happens
+    before the first is yielded. Each is ((m, l + P - 1, S, K) rows,
+    (m l, S, 1) targets), the targets block-major with the window position
+    varying fastest, as ``StgcnModel.forward_rows`` orders its output.
+    """
+    length = min(_BLOCK, batch_size)
+    offset = int(rng.integers(length))
+    sizes = [rows.shape[0] - history_steps + 1 for rows in runs]
+    first = np.cumsum([0] + sizes)               # each run's first window in targets
+    blocks = []                                  # (run, first window in the run, windows)
+    for r, n in enumerate(sizes):
+        size = min(length, n)
+        blocks += [(r, a, size) for a in range(offset % (n - size + 1), n - size + 1, size)]
+    by_length: dict[int, list] = {}
+    for i in rng.permutation(len(blocks)):
+        by_length.setdefault(blocks[i][2], []).append(blocks[i])
+    batches = [group[lo:lo + batch_size // size] for size, group in by_length.items()
+               for lo in range(0, len(group), batch_size // size)]
+    for i in rng.permutation(len(batches)):
+        batch = batches[i]
+        size = batch[0][2]
+        yield (np.stack([runs[r][a:a + size + history_steps - 1] for r, a, _ in batch]),
+               np.concatenate([targets[first[r] + a:first[r] + a + size]
+                               for r, a, _ in batch]))
+
+
 def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
           config: TrainConfig | None = None) -> TrainResult:
     """Adam training with a fixed shuffle seed and best-validation selection.
 
-    The supervision signal is the first horizon step, the next hour.
+    The supervision signal is the first horizon step, the next hour. Each
+    epoch draws minibatches of blocks of consecutive training windows
+    (``_minibatches``) and runs one ``forward_rows`` per minibatch, the
+    forward the rollout's first step shares; under dropout one mask covers
+    every window that shares a column. Some windows sit out each epoch, and
+    an epoch's ``train_loss`` is the mean over the windows it saw.
     Validation loss, MAE and RMSE of the one-step forecasts are computed on
     the normalized scale after every epoch, with one ``predict_series``
     forward per contiguous run of validation windows; the parameters
@@ -391,13 +482,13 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     config = config or TrainConfig()
     config.validate()
     _keep_freed_pages()
-    train_x, train_y = dataset.part("train")
+    _, train_y = dataset.part("train")
     _, val_y = dataset.part("val")
-    if train_x.shape[0] == 0:
+    if train_y.shape[0] == 0:
         raise TrainingError("training split is empty")
     if val_y.shape[0] == 0:
         raise TrainingError("validation split is empty; best-epoch selection needs it")
-    val_rows = dataset.series("val")
+    train_rows, val_rows = dataset.series("train"), dataset.series("val")
     train_y, val_y = train_y[:, 0], val_y[:, 0, :, 0]  # the next hour: (N, S, 1), (N, S)
 
     model._check_operator(op)
@@ -410,30 +501,29 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     best_epoch = 0
     best_state: dict[str, np.ndarray] = {}
 
-    n_train = train_x.shape[0]
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        total = 0.0
-        for lo in range(0, n_train, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+        total, seen = 0.0, 0
+        for step, (rows, y) in enumerate(_minibatches(
+                train_rows, train_y, dataset.history_steps, config.batch_size, rng)):
             with tz.Tape():
-                pred = model.forward(train_x[idx], op, training=True, rng=rng)
-                loss = l2_loss(pred, train_y[idx])
+                pred = model.forward_rows(rows, op, training=True, rng=rng)
+                loss = l2_loss(pred, y)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // config.batch_size}; "
+                    f"non-finite loss at epoch {epoch}, batch {step}; "
                     "lower the learning rate")
             tz.backward(loss)
             opt.step()
             opt.zero_grad()
-            total += value * len(idx)
+            total += value * len(y)
+            seen += len(y)
 
         err = np.concatenate([predict_series(model, rows, op, 1, 0)[:, 0]
                               for rows in val_rows]) - val_y
         val_loss = float((err ** 2).sum() / len(err))
         val_mae, val_rmse = float(np.abs(err).mean()), float(np.sqrt((err ** 2).mean()))
-        history.append(EpochStats(epoch, total / n_train, val_loss, val_mae, val_rmse))
+        history.append(EpochStats(epoch, total / seen, val_loss, val_mae, val_rmse))
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -471,7 +561,8 @@ def predict_batch(model: StgcnModel, windows: np.ndarray, op: GraphOperator,
     layer's newest time column (see the module docstring).
     """
     windows = np.asarray(windows, dtype=np.float64)
-    stages = model.stages(model._check_inputs(windows.shape, op))
+    model._check_shape(windows.shape)
+    stages = model.stages(model._basis(op))
     _check_rollout(windows, horizon, predicted_channel)
     out = np.empty((windows.shape[0], horizon, windows.shape[2]))
     for lo in range(0, windows.shape[0], _PREDICT_BATCH):
@@ -514,14 +605,17 @@ def _check_rollout(values: np.ndarray, horizon: int, predicted_channel: int) -> 
             f"{values.shape[-1]} channels")
 
 
-def _tails(h: np.ndarray, context: int, span: int, n_pos: int) -> np.ndarray:
-    """Columns [j + span - context, j + span) of (B, S, T, C) ``h`` for every
-    window position j < n_pos, as a fresh (B n_pos, S, context, C) array."""
-    lo = span - context
+def _tails(h: np.ndarray, context: int, n_pos: int) -> np.ndarray:
+    """The last ``context`` input columns of every window position j < n_pos
+    of (B, S, T, C) ``h``, as a fresh (B n_pos, S, context, C) array.
+
+    Each position's window spans T - n_pos + 1 columns of ``h``.
+    """
+    lo = h.shape[2] - n_pos + 1 - context
     if n_pos == 1:                                       # T = P: a plain slice
-        return h[:, :, lo:span].copy()
+        return h[:, :, lo:].copy()
     b, s, _, c = h.shape
-    cols = sliding_window_view(h[:, :, lo:lo + n_pos + context - 1], context, axis=2)
+    cols = sliding_window_view(h[:, :, lo:], context, axis=2)
     return np.array(cols.transpose(0, 2, 1, 4, 3)).reshape(b * n_pos, s, context, c)
 
 
@@ -530,24 +624,21 @@ def _rollout(stages: list, x: np.ndarray, horizon: int, predicted_channel: int,
     """Forecast every P-column window of (B, S, T, K) ``x`` into ``out``.
 
     ``out`` is (B (T - P + 1), horizon, S), window positions varying fastest.
-    Step 1 runs each layer once over all T columns; before the fc, the
-    positions are folded into the batch. Each later step streams one column
-    per window through ``stages``, from the tails step 1 left.
+    Step 1 is ``_fold_forward``, which keeps each layer's tails on the way.
+    Each later step streams one column per window through ``stages``, from
+    those tails.
     """
-    b, s, t, _ = x.shape
-    n_pos = out.shape[0] // b
-    p = span = t - n_pos + 1                             # span: each layer's window
-    h, tails = x, []
-    for i, (context, layer) in enumerate(stages):
-        tails.append(_tails(h, context, span, n_pos) if context and horizon > 1 else None)
-        if i == len(stages) - 1:                         # fold positions into the batch
-            h = np.swapaxes(h, 1, 2).reshape(b * n_pos, s, 1, h.shape[3])
-        h = layer(h).data
-        span -= context
+    n_pos = out.shape[0] // x.shape[0]
+    tails: list = []
+
+    def keep(context, h):
+        tails.append(_tails(h, context, n_pos) if context else None)
+
+    h = _fold_forward(stages, Tensor(x), keep if horizon > 1 else None).data
     out[:, 0] = h[:, :, 0]
     if horizon == 1:
         return
-    nxt = _tails(x, 1, p, n_pos)[:, :, 0]                # hold exogenous channels
+    nxt = _tails(x, 1, n_pos)[:, :, 0]                   # hold exogenous channels
     for step in range(1, horizon):
         nxt[:, :, predicted_channel] = h[:, :, 0]
         h = nxt[:, :, np.newaxis]                        # (B n_pos, S, 1, K)

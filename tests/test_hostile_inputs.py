@@ -257,10 +257,12 @@ def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_pat
 
 
 def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path):
-    """Two rows a century apart: fuse and run-all exit 3 naming the first empty hour.
+    """Two rows a century apart: fuse, run-all and report exit 3 naming the first
+    empty hour.
 
-    The gap is longer than max_gap_hours, so no hour of it could be fused; a
-    century of hourly cells is never allocated for it.
+    The gap is longer than max_gap_hours, so no hour of it could be fused, and
+    longer than the fused grid, so report could never match it; a century of
+    hourly cells is never allocated for it.
     """
     root, paths = scenario
     lines = paths["observations.csv"].read_text().splitlines(keepends=True)
@@ -272,6 +274,8 @@ def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path)
                  "--out", str(tmp_path / "fused.csv")],
         "run-all": ["--stations", str(paths["stations.csv"]), "--observations", str(century),
                     "--config", str(root / "run.cfg"), "--out-dir", str(tmp_path / "out")],
+        "report": ["--stations", str(paths["stations.csv"]), "--observations", str(century),
+                   "--fused", str(paths["fused.csv"]), "--out-dir", str(tmp_path / "report")],
     }
     for command, args in runs.items():
         err = io.StringIO()

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import geofuse.stgcn as stgcn
 import geofuse.tensor as gt
 from geofuse.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from geofuse.fusion import pairwise_distances
@@ -78,6 +79,10 @@ def test_operator_and_shape_validation():
         model.forward(np.zeros((1, 6, 3, 2)), cheb4)
     with pytest.raises(ShapeError, match="expected windows"):
         model.forward(np.zeros((1, 5, 3, 2)), cheb3)
+    with pytest.raises(ShapeError, match="expected windows"):
+        model.forward(np.zeros((1, 7, 3, 2)), cheb3)
+    with pytest.raises(ShapeError, match="expected rows"):
+        model.forward_rows(np.zeros((1, 5, 3, 2)), cheb3)
     with pytest.raises(ValidationError, match="rng"):
         model_d = StgcnModel(tiny_config(dropout=0.3), seed=2)
         model_d.forward(np.zeros((1, 6, 3, 2)), cheb3, training=True)
@@ -216,7 +221,90 @@ def test_graph_conv_records_one_tape_op_at_any_order():
     assert len(set(records.values())) == 1, records
 
 
-def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2):
+def test_block_forward_matches_stacked_windows():
+    # One forward over each block of rows gives the stacked windows' loss and
+    # gradients: the fold only moves each window's column into the batch.
+    model = StgcnModel(tiny_config(n_nodes=4), seed=30)
+    cheb, _ = operators(4, seed=31)
+    rng = np.random.default_rng(32)
+    rows = rng.normal(size=(3, 8 + 6 - 1, 4, 2))        # 3 blocks of 8 windows
+    windows = np.stack([block[j:j + 6] for block in rows for j in range(8)])
+    y = rng.normal(size=(24, 4, 1))
+    params = model.parameters()
+
+    def loss_and_grads(forward, x):
+        with gt.Tape():
+            loss = l2_loss(forward(x, cheb), y)
+        gt.backward(loss)
+        grads = {name: p.grad for name, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+        return loss.item(), grads
+
+    block_loss, block_grads = loss_and_grads(model.forward_rows, rows)
+    stacked_loss, stacked_grads = loss_and_grads(model.forward, windows)
+    assert block_loss == pytest.approx(stacked_loss, rel=1e-12, abs=0)
+    for name, g in stacked_grads.items():
+        assert np.allclose(block_grads[name], g, rtol=1e-12,
+                           atol=1e-12 * np.abs(g).max()), name
+
+
+def _gappy_dataset(gaps, t_total=170, p=4):
+    """Rows that hold their own index, with NaN rows at ``gaps``."""
+    values = np.broadcast_to(np.arange(t_total, dtype=float)[:, None, None],
+                             (t_total, 6, 2)).copy()
+    values[list(gaps)] = np.nan
+    return make_windows(values, [f"s{i}" for i in range(6)], ["a", "b"], p, 1, "a")
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 16, 32, 40])
+def test_minibatches_are_aligned_blocks_of_consecutive_windows(batch_size):
+    ds = _gappy_dataset([10, 40, 57, 90, 121])
+    runs = ds.series("train")
+    sizes = [len(r) - 3 for r in runs]
+    assert min(sizes) < 16 < max(sizes)                  # short and long runs
+    length = min(16, batch_size)
+    rng = np.random.default_rng(33)
+    seen: set = set()
+    for _ in range(20):
+        starts = []
+        for rows, y in stgcn._minibatches(runs, ds.part("train")[1][:, 0], 4,
+                                          batch_size, rng):
+            m, span = rows.shape[:2]
+            n = span - 3
+            assert m * n <= batch_size and n <= length
+            assert (np.diff(rows[:, :, 0, 0], axis=1) == 1).all()   # consecutive rows
+            first = rows[:, :n, 0, 0].reshape(-1)                    # each window's start
+            assert np.array_equal(y[:, :, 0], np.repeat(first[:, None] + 4, 6, axis=1))
+            starts += first.tolist()
+        assert starts and len(set(starts)) == len(starts)           # each window once
+        assert set(starts) <= set(ds.starts[:ds.n_train].tolist())
+        # Only runs of at least one block lose windows: at most L - 1 at each end.
+        assert len(starts) >= ds.n_train - 2 * (length - 1) * sum(n >= length for n in sizes)
+        seen |= set(starts)
+    if length > 1:                             # the offset moves the blocks
+        assert len(seen) > len(starts)
+
+
+def test_training_on_runs_shorter_than_a_block_steps_and_learns(monkeypatch):
+    # A NaN row every 12 hours leaves runs of 5 training windows, each less
+    # than a block; every epoch still steps, and the loss falls.
+    ds = _smooth_dataset(t_total=200, gaps=range(11, 200, 12))
+    sizes = [len(r) - 5 for r in ds.series("train")]
+    assert len(sizes) > 5 and max(sizes) < 16, sizes
+    cheb, _ = operators(4, seed=15)
+    model = StgcnModel(ModelConfig(n_nodes=4, in_channels=2, history_steps=6,
+                                   channels=(6, 3, 6), time_kernel=2, graph_kernel=2,
+                                   dropout=0.0), seed=16)
+    steps = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda opt: steps.append(1) or step(opt))
+    result = train(model, ds, cheb, TrainConfig(lr=0.01, batch_size=32, epochs=20, seed=17))
+    assert len(steps) >= 20
+    assert result.history[-1].train_loss < 0.5 * result.history[0].train_loss
+
+
+def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2, gaps=()):
     rng = np.random.default_rng(seed)
     t = np.arange(t_total)[:, None]
     phase = rng.uniform(0, 2 * np.pi, size=s)
@@ -224,6 +312,7 @@ def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2):
     other = 0.5 + 0.3 * np.cos(2 * np.pi * t / 17.0 + phase)
     values = np.stack([base, other], axis=2)  # (T, S, 2)
     values += rng.normal(0, 0.01, values.shape)
+    values[list(gaps)] = np.nan
     return make_windows(values, [f"s{i}" for i in range(s)], ["a", "b"], p, q, "a")
 
 
@@ -289,7 +378,11 @@ def test_training_without_mallopt_is_unchanged(monkeypatch, loader):
 
 
 def _faults_per_step_after_train() -> list[int]:
-    """Minor page faults of each of 20 c07-shape steps run after ``train``."""
+    """Minor page faults of each of 20 c07-shape block steps run after ``train``.
+
+    Each step is the first minibatch ``train`` would draw at batch size 32:
+    two blocks of 16 consecutive windows, one forward over each.
+    """
     import resource                                       # Unix only
     s, k, p = 15, 3, 12
     rng = np.random.default_rng(21)
@@ -300,14 +393,15 @@ def _faults_per_step_after_train() -> list[int]:
                                    channels=(16, 8, 16), time_kernel=3,
                                    graph_kernel=3, dropout=0.0), seed=23)
     train(model, ds, cheb, TrainConfig(batch_size=32, epochs=1, seed=24))
-    x, y = ds.part("train")
-    x, y = x[:32], y[:32, 0]
+    rows, y = next(stgcn._minibatches(ds.series("train"), ds.part("train")[1][:, 0], p,
+                                      32, np.random.default_rng(25)))
+    assert rows.shape == (2, 16 + p - 1, s, k), rows.shape
     opt = Adam(list(model.parameters().values()), lr=1e-3)
     faults = []
     for _ in range(20):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with gt.Tape():
-            loss = l2_loss(model.forward(x, cheb), y)
+            loss = l2_loss(model.forward_rows(rows, cheb), y)
         gt.backward(loss)
         opt.step()
         opt.zero_grad()
@@ -319,8 +413,8 @@ def _faults_per_step_after_train() -> list[int]:
                     reason="glibc's mallopt thresholds only")
 def test_training_steps_do_not_fault_pages():
     # train() keeps freed pages in the process, so the next step reuses them
-    # instead of faulting fresh ones in (about 2,000 per step at this shape
-    # with glibc's defaults). It runs in a fresh interpreter because glibc
+    # instead of faulting fresh ones in (about 680 per block step at this
+    # shape with glibc's defaults). It runs in a fresh interpreter because glibc
     # raises its own thresholds after large frees: in a process that has
     # already trained and rolled out, the steps may not fault even without it.
     env = dict(os.environ)

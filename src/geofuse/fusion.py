@@ -8,14 +8,15 @@ The interpolant through N sources solves A w = b where A[i, j] =
 exp(-c * dist(i, j)^2) plus a diagonal ridge, and evaluates as F(q) = sum_j
 w_j * exp(-c * dist(q, j)^2). The Gaussian kernel makes A symmetric positive
 definite for distinct sources, so the solve is a Cholesky factorization with
-iterative refinement. A panel is fused with one kernel block, one
-factorization and one multi-right-hand-side solve per (target, availability
-pattern), and every hour keeps the bits of a one-hour fusion. The pairwise
-distances and each target's resolved shape are computed once per
-(coordinates, native mask, metric, shape_c) and only the latest such geometry
-is kept, so the online path, one ``fuse_time_step`` per hour over the same
-stations, pays only for the kernel blocks and the solves. The cache holds the
-read-only distances and a tuple of shapes, about S^2 * 8 bytes.
+iterative refinement, applied through the factor's inverse. A panel is fused
+with one kernel block, one factorization and one multi-right-hand-side solve
+per (target, availability pattern), and every hour keeps the bits of a
+one-hour fusion. The pairwise distances and each target's resolved shape are
+computed once per (coordinates, native mask, metric, shape_c) and only the
+latest such geometry is kept, so the online path, one ``fuse_time_step`` per
+hour over the same stations, pays only for the kernel blocks and the solves.
+The cache holds the read-only distances and a tuple of shapes, about S^2 * 8
+bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import FusionError, SingularSystemError, ValidationError
 from .ingest import ObservationPanel, Station
@@ -41,6 +41,9 @@ RESIDUAL_RTOL = 1e-8
 # constant is relative to it: 1e-10 is far below RESIDUAL_RTOL, yet lifts a
 # nearly singular Gram's smallest eigenvalues well above rounding.
 DEFAULT_RIDGE = 1e-10
+
+# Kernel-block bytes held per stacked factorization of equal-size Grams.
+_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -141,18 +144,16 @@ def _add_ridge(gram: np.ndarray, config: RbfConfig) -> np.ndarray:
 
 
 def _factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of A, or SingularSystemError if A is not SPD.
-
-    LAPACK is called directly here and in ``_solve_refined``: scipy's
-    ``cho_factor``/``cho_solve`` checks cost several times the work.
-    """
-    factor, info = lapack.dpotrf(a, lower=1, clean=0)
-    if info:
+    """L^-1 of each (..., n, n) A's lower Cholesky factor L, with the bits of a
+    single call, or SingularSystemError if an A is not SPD. A^-1 = L^-T L^-1,
+    so A^-1 b is two matvecs and diag(A^-1) the column sums of (L^-1)^2."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
         raise SingularSystemError(
             "coefficient matrix is singular or not positive definite; "
             "duplicate source locations are the usual cause, and a positive "
-            "ridge regularizes near-duplicates")
-    return factor
+            "ridge regularizes near-duplicates") from None
 
 
 def _matvecs(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -160,7 +161,12 @@ def _matvecs(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(mat, rows[:, :, np.newaxis])[:, :, 0]
 
 
-def _solve_refined(factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve(inv_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for each row b of (m, n) ``b``, given L^-1 from ``_factor``."""
+    return _matvecs(inv_factor.T, _matvecs(inv_factor, b))
+
+
+def _solve_refined(inv_factor: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A w = b for each row b of the (m, n) ``b``, refining row by row."""
     scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
     bound = RESIDUAL_RTOL * scale
@@ -170,14 +176,14 @@ def _solve_refined(factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the floor or when a step stops helping; the bound stays the pass/fail
     # line for declaring the system solvable.
     floor = 1e4 * np.finfo(np.float64).eps * scale
-    best_w = lapack.dpotrs(factor, b.T, lower=1)[0].T
+    best_w = _solve(inv_factor, b)
     best_res = b - _matvecs(a, best_w)
     best_r = np.abs(best_res).max(axis=1, initial=0.0)
     refining = ~(best_r <= floor)
     for _ in range(4):
         if not refining.any():
             break
-        w = best_w + lapack.dpotrs(factor, best_res.T, lower=1)[0].T
+        w = best_w + _solve(inv_factor, best_res)
         res = b - _matvecs(a, w)
         r = np.abs(res).max(axis=1, initial=0.0)
         improved = refining & ~(r >= best_r)
@@ -330,18 +336,25 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     values = panel.values.copy()
     by_target = np.ascontiguousarray(raw_mask.transpose(2, 0, 1))
     needs_fill = ~by_target.all(axis=2)
-    for k in range(len(panel.target_ids)):
-        hours: dict[bytes, list[int]] = {}
-        for t in np.flatnonzero(needs_fill[k]):
-            hours.setdefault(by_target[k, t].tobytes(), []).append(t)
-        for ts in hours.values():
-            available = by_target[k, ts[0]]
-            rows = np.array(ts)[:, np.newaxis]
-            src, query = np.flatnonzero(available), np.flatnonzero(~available)
-            block = gaussian_rbf(dists[np.ix_(np.concatenate([src, query]), src)], shapes[k])
-            a = _add_ridge(block[:len(src)], config)
-            w = _solve_refined(_factor(a), a, values[rows, src, k])
-            values[rows, query, k] = _matvecs(block[len(src):], w)
+    hours: dict[tuple, list[int]] = {}           # (target, pattern) -> hours
+    for k, t in zip(*np.nonzero(needs_fill)):
+        hours.setdefault((k, by_target[k, t].tobytes()), []).append(t)
+    groups: dict[int, list] = {}                 # source count -> [(target, hours)]
+    for (k, _), ts in hours.items():
+        groups.setdefault(int(by_target[k, ts[0]].sum()), []).append((k, ts))
+    for n, same in groups.items():
+        step = max(1, _STACK_BYTES // (8 * n * len(panel.stations)))
+        for lo in range(0, len(same), step):
+            batch = []
+            for k, ts in same[lo:lo + step]:
+                available = by_target[k, ts[0]]
+                src, query = np.flatnonzero(available), np.flatnonzero(~available)
+                block = gaussian_rbf(dists[np.ix_(np.concatenate([src, query]), src)], shapes[k])
+                batch.append((k, np.array(ts)[:, np.newaxis], src, query, block))
+            grams = np.stack([_add_ridge(block[:n], config) for *_, block in batch])
+            for (k, rows, src, query, block), a, inverse in zip(batch, grams, _factor(grams)):
+                w = _solve_refined(inverse, a, values[rows, src, k])
+                values[rows, query, k] = _matvecs(block[n:], w)
 
     fused = FusionMatrix(
         timestamps=list(panel.timestamps),

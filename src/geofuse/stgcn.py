@@ -17,9 +17,9 @@ Every temporal layer is a valid convolution along time and the graph conv,
 ReLU and fc act on each column alone, so one forward over a T-row block gives
 the next-step forecast of each of its T - P + 1 stride-1 windows.
 ``StgcnModel.forward_rows`` is that forward: it runs the stages over
-(B, T, S, K) rows and, before the fc, folds the window positions into the
-batch, so the fc sees each window's column as its own entry. ``forward`` is
-its T = P case, where the fold only relabels.
+(B, T, S, K) rows, and the fc first folds the window positions into the
+batch, so it sees each window's column as its own entry. ``forward`` is its
+T = P case, where the fold only relabels.
 
 Training minimizes mean squared residual over the windows of a minibatch on
 the next-step target, with Adam and best-validation parameter selection. A
@@ -27,16 +27,17 @@ minibatch is a few blocks of consecutive training windows under one forward;
 under dropout one mask covers every window that shares a column. Multi-step
 forecasts at inference iterate the one-step model, writing each prediction
 back into the window's predicted channel while exogenous channels hold their
-last value. The rollout's first step is the same forward: ``predict_series``
-runs it over each contiguous run of windows, ``predict_batch`` over stacked
-windows (T = P). Later steps stream: each step shifts every window by one
-column, so every layer has one new output column. Each gated temporal conv
-keeps its window's last f_t - 1 input columns and the head its last
-head_time_steps - 1 (nothing for the graph conv, ReLU and fc), gathered from
-the first forward's activations; a later step runs each layer on those plus
-the new column. The matmuls then run over other row counts, so BLAS may sum
-in another order, and later steps can differ from a full forward on the
-shifted window in the last bits.
+last value. The rollout runs the layers' arithmetic on plain arrays and
+records nothing; its first step is the same forward, bit for bit:
+``predict_series`` runs it over each contiguous run of windows,
+``predict_batch`` over stacked windows (T = P). Later steps stream: each step
+shifts every window by one column, so every layer has one new output column.
+Each gated temporal conv keeps its window's last f_t - 1 input columns and the
+head its last head_time_steps - 1 (nothing for the graph conv, ReLU and fc),
+gathered from the first forward's activations; a later step runs each layer on
+those plus the new column. The matmuls then run over other row counts, so BLAS
+may sum in another order, and later steps can differ from a full forward on
+the shifted window in the last bits.
 """
 
 from __future__ import annotations
@@ -163,6 +164,12 @@ class TemporalGatedConv:
     def forward(self, x: Tensor) -> Tensor:
         return tz.gated_conv1d_time(x, self.kernel, self.bias_lin, self.bias_gate)
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """``forward``'s values on a plain array, recording nothing."""
+        lin, gate = tz.gated_conv_halves(x, self.kernel.data, self.bias_lin.data,
+                                         self.bias_gate.data)
+        return lin * gate
+
     def parameters(self) -> dict[str, Tensor]:
         return {"kernel": self.kernel, "bias_lin": self.bias_lin,
                 "bias_gate": self.bias_gate}
@@ -177,9 +184,7 @@ class GraphConv:
 
     The forward pass is a single ``graph_conv`` tape op on the whole
     (order, c_in, c_out) kernel and the constant (order, S, S) basis that
-    ``GraphConv.basis`` builds. ``StgcnModel.forward_rows`` builds it once per
-    call, after checking the operator's kind and shape, and hands it to both
-    blocks.
+    ``GraphConv.basis`` builds, once per model call for both blocks.
     """
 
     def __init__(self, order: int, c_in: int, c_out: int, rng: np.random.Generator):
@@ -198,6 +203,10 @@ class GraphConv:
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
         return tz.graph_conv(x, basis, self.kernel)
 
+    def values(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """``forward``'s values on a plain array, recording nothing."""
+        return tz.graph_conv_values(x, basis, self.kernel.data)
+
     def parameters(self) -> dict[str, Tensor]:
         return {"kernel": self.kernel}
 
@@ -213,12 +222,14 @@ class STConvBlock:
 
     def stages(self, basis: np.ndarray) -> list:
         """This block's layers in order; see ``StgcnModel.stages``."""
-        return [(self.temporal_in.f - 1, self.temporal_in.forward),
-                (0, lambda h: tz.relu(self.graph.forward(h, basis))),
-                (self.temporal_out.f - 1, self.temporal_out.forward)]
+        t_in, graph, t_out = self.temporal_in, self.graph, self.temporal_out
+        return [(t_in.f - 1, t_in.forward, t_in.values),
+                (0, lambda h: tz.relu(graph.forward(h, basis)),
+                 lambda h: tz.relu_values(graph.values(h, basis))),
+                (t_out.f - 1, t_out.forward, t_out.values)]
 
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
-        for _, layer in self.stages(basis):
+        for _, layer, _ in self.stages(basis):
             x = layer(x)
         return x
 
@@ -284,25 +295,29 @@ class StgcnModel:
         return GraphConv.basis(op.matrix, cfg.graph_mode, cfg.graph_kernel)
 
     def stages(self, basis: np.ndarray, training: bool = False, rng=None) -> list:
-        """The model's layers in order, as (context, layer) pairs.
+        """The model's layers in order, as (context, forward, values) triples.
 
-        Each layer maps a (B, S, T, C) input to T - context time steps (the
-        fc, last, to (B, S, 1)). ``_fold_forward`` runs them on whole blocks;
-        the streaming rollout runs them on each layer's last ``context``
-        input columns plus one new column. Only here is the order declared.
+        Each layer maps a (B, S, T, C) input to T - context time steps; the
+        fc, last, first folds the n_pos = T - P + 1 window positions into the
+        batch: (B, S, n_pos, c3) -> (B n_pos, S, 1). ``forward`` records on
+        the tape; ``values`` computes its numbers on plain arrays, without
+        dropout, for the rollout. Only here is the order declared.
         """
         cfg = self.config
+        weight, bias = self.fc_weight, self.fc_bias
+        drop = (0, lambda h: tz.dropout(h, cfg.dropout, training, rng), lambda h: h)
+        fold = (-1, cfg.n_nodes, cfg.channels[2])
 
-        def drop(h):
-            return tz.dropout(h, cfg.dropout, training, rng)
+        def fc(h):
+            h = tz.reshape(tz.swap_axes(h, 1, 2), fold)
+            return tz.add(tz.matmul(h, weight), bias)
 
-        def fc(h):                                   # (B, S, 1, c3) -> (B, S, 1)
-            h = tz.reshape(h, (h.shape[0], cfg.n_nodes, cfg.channels[2]))
-            return tz.add(tz.matmul(h, self.fc_weight), self.fc_bias)
+        def fc_values(h):
+            return np.swapaxes(h, 1, 2).reshape(fold) @ weight.data + bias.data
 
-        return (self.block1.stages(basis) + [(0, drop)]
-                + self.block2.stages(basis) + [(0, drop)]
-                + [(self.head_temporal.f - 1, self.head_temporal.forward), (0, fc)])
+        head = self.head_temporal
+        return (self.block1.stages(basis) + [drop] + self.block2.stages(basis) + [drop]
+                + [(head.f - 1, head.forward, head.values), (0, fc, fc_values)])
 
     def forward(self, windows, op: GraphOperator, training: bool = False,
                 rng=None) -> Tensor:
@@ -320,36 +335,18 @@ class StgcnModel:
         """(B, T, S, K) rows -> (B (T - P + 1), S, 1) next-step predictions.
 
         Entry b (T - P + 1) + j forecasts from the window of rows [j, j + P)
-        of block b: one forward over each block, window positions varying
-        fastest (see ``_fold_forward``). Under dropout, one mask covers every
-        window that shares a column.
+        of block b: each layer runs once over each block (see ``stages``).
+        Under dropout, one mask covers every window that shares a column.
         """
         x = rows if isinstance(rows, Tensor) else Tensor(rows)
         self._check_shape(x.shape, rows=True)
         basis = self._basis(op)
         if training and self.config.dropout > 0.0 and rng is None:
             raise ValidationError("training forward with dropout needs an rng")
-        return _fold_forward(self.stages(basis, training, rng), tz.swap_axes(x, 1, 2))
-
-
-def _fold_forward(stages: list, h: Tensor, before=None) -> Tensor:
-    """Run ``stages`` over (B, S, T, C) ``h``; return (B n_pos, S, 1).
-
-    Each layer runs once over all T columns. Before the fc, last, the
-    n_pos = T - P + 1 window positions left on the time axis are folded into
-    the batch with one ``swap_axes`` and one ``reshape``, so the fc sees each
-    window's column as its own entry. ``before(context, data)``, if given,
-    sees each stage's input first. Training, ``forward`` and the rollout's
-    first step all run the stages through here.
-    """
-    for i, (context, layer) in enumerate(stages):
-        if before is not None:
-            before(context, h.data)
-        if i == len(stages) - 1:
-            b, s, n_pos, c = h.shape
-            h = tz.reshape(tz.swap_axes(h, 1, 2), (b * n_pos, s, 1, c))
-        h = layer(h)
-    return h
+        h = tz.swap_axes(x, 1, 2)
+        for _, layer, _ in self.stages(basis, training, rng):
+            h = layer(h)
+        return h
 
 
 def l2_loss(pred: Tensor, target) -> Tensor:
@@ -624,17 +621,18 @@ def _rollout(stages: list, x: np.ndarray, horizon: int, predicted_channel: int,
     """Forecast every P-column window of (B, S, T, K) ``x`` into ``out``.
 
     ``out`` is (B (T - P + 1), horizon, S), window positions varying fastest.
-    Step 1 is ``_fold_forward``, which keeps each layer's tails on the way.
-    Each later step streams one column per window through ``stages``, from
-    those tails.
+    Every step runs the stages' ``values``, so nothing is recorded, even on
+    an active ``Tape``. Step 1 runs each layer over all T columns, with
+    ``forward_rows``' bits, and keeps each layer's tails; each later step
+    streams one column per window through the stages, from those tails.
     """
     n_pos = out.shape[0] // x.shape[0]
     tails: list = []
-
-    def keep(context, h):
-        tails.append(_tails(h, context, n_pos) if context else None)
-
-    h = _fold_forward(stages, Tensor(x), keep if horizon > 1 else None).data
+    h = x
+    for context, _, layer in stages:
+        if horizon > 1:
+            tails.append(_tails(h, context, n_pos) if context else None)
+        h = layer(h)
     out[:, 0] = h[:, :, 0]
     if horizon == 1:
         return
@@ -642,11 +640,11 @@ def _rollout(stages: list, x: np.ndarray, horizon: int, predicted_channel: int,
     for step in range(1, horizon):
         nxt[:, :, predicted_channel] = h[:, :, 0]
         h = nxt[:, :, np.newaxis]                        # (B n_pos, S, 1, K)
-        for i, (context, layer) in enumerate(stages):
+        for i, (context, _, layer) in enumerate(stages):
             if context:
                 h = np.concatenate([tails[i], h], axis=2)
                 tails[i] = h[:, :, 1:]
-            h = layer(h).data
+            h = layer(h)
         out[:, step] = h[:, :, 0]
 
 

@@ -10,7 +10,9 @@ requires a fresh tape.
 
 The ops are the ones the STGCN records: ``add``, ``sub``,
 ``multiply_elementwise``, ``matmul``, ``relu``, ``reshape``, ``swap_axes``,
-``reduce_sum``, ``gated_conv1d_time``, ``graph_conv`` and ``dropout``.
+``reduce_sum``, ``gated_conv1d_time``, ``graph_conv`` and ``dropout``. The
+model's layer ops compute on plain arrays through ``gated_conv_halves``,
+``graph_conv_values`` and ``relu_values``, which inference calls directly.
 """
 
 from __future__ import annotations
@@ -166,14 +168,15 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
         return np.reciprocal(z, out=z)
 
 
+def relu_values(x: np.ndarray) -> np.ndarray:
+    """``relu`` on a plain array."""
+    return np.where(x > 0, x, 0.0)
+
+
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    mask = x.data > 0
-
-    def backward_fn(g):
-        return (g * mask,)
-
-    return _make_output(np.where(mask, x.data, 0.0), (x,), backward_fn)
+    data = relu_values(x.data)
+    return _make_output(data, (x,), lambda g: (g * (data > 0),))
 
 
 def reshape(x, shape) -> Tensor:
@@ -222,9 +225,12 @@ def _im2col(x: np.ndarray, f: int) -> np.ndarray:
     """(..., T, C) -> (N (T - f + 1), f C), N the product of the leading dims.
 
     Each row holds f consecutive time steps back to back, matching the row
-    order of a (f, C, C_out) kernel reshaped to (f C, C_out).
+    order of a (f, C, C_out) kernel reshaped to (f C, C_out). A C-contiguous
+    input with T = f is one window per row, returned as a view.
     """
     *lead, t, c = x.shape
+    if t == f and x.flags.c_contiguous:
+        return x.reshape(-1, f * c)
     windows = as_strided(x, (*lead, t - f + 1, f, c), x.strides[:-1] + x.strides[-2:],
                          writeable=False)                 # (..., T-f+1, f, C)
     return windows.reshape(-1, f * c)
@@ -253,6 +259,14 @@ def _conv_backward(x: np.ndarray, kernel: np.ndarray, g: np.ndarray,
     for d in range(f):
         gx[..., d:d + t_out, :] += gcols[..., d, :]
     return gx, gk
+
+
+def gated_conv_halves(x, kernel, bias_lin, bias_gate) -> tuple[np.ndarray, np.ndarray]:
+    """``gated_conv1d_time``'s linear half and sigmoid gate on plain arrays,
+    unchecked; the op's output is their product."""
+    c_out = kernel.shape[2] // 2
+    full = _conv_forward(x, kernel)
+    return full[..., :c_out] + bias_lin, _sigmoid_inplace(full[..., c_out:] + bias_gate)
 
 
 def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
@@ -286,9 +300,7 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
         raise ShapeError(
             f"gated_conv1d_time: biases {bias_lin.shape} and {bias_gate.shape} "
             f"must both be ({c_out},)")
-    full = _conv_forward(x.data, kernel.data)
-    lin = full[..., :c_out] + bias_lin.data
-    gate = _sigmoid_inplace(full[..., c_out:] + bias_gate.data)
+    lin, gate = gated_conv_halves(x.data, kernel.data, bias_lin.data, bias_gate.data)
 
     def backward_fn(g):
         g_lin = g * gate
@@ -298,6 +310,14 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
         return gx, gk, _unbroadcast(g_lin, (c_out,)), _unbroadcast(g_gate, (c_out,))
 
     return _make_output(lin * gate, (x, kernel, bias_lin, bias_gate), backward_fn)
+
+
+def graph_conv_values(x: np.ndarray, basis: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``graph_conv`` on plain arrays, unchecked: (B, S, T, C_out)."""
+    r, c_in, c_out = kernel.shape
+    w = kernel.transpose(1, 0, 2).reshape(c_in, r * c_out)
+    xw = (x @ w).reshape(x.shape[:-1] + (r, c_out))             # (B, S, T, R, C_out)
+    return np.moveaxis(np.tensordot(basis, xw, axes=([0, 2], [3, 1])), 0, 1)
 
 
 def graph_conv(x, basis, kernel) -> Tensor:
@@ -321,18 +341,17 @@ def graph_conv(x, basis, kernel) -> Tensor:
         raise ShapeError(
             f"graph_conv: basis {basis.shape} is not ({r}, {s}, {s}) for input "
             f"{x.shape} and kernel {kernel.shape}")
-    w = kernel.data.transpose(1, 0, 2).reshape(c_in, r * c_out)
-    xw = (x.data @ w).reshape(x.shape[:-1] + (r, c_out))        # (B, S, T, R, C_out)
-    out = np.tensordot(basis, xw, axes=([0, 2], [3, 1]))         # (S, B, T, C_out)
 
     def backward_fn(g):
         gxw = np.tensordot(basis, g, axes=([1], [1]))            # (R, S, B, T, C_out)
         gxw = gxw.transpose(2, 1, 3, 0, 4).reshape(-1, r * c_out)
         gk = x.data.reshape(-1, c_in).T @ gxw
+        w = kernel.data.transpose(1, 0, 2).reshape(c_in, r * c_out)
         return ((gxw @ w.T).reshape(x.shape),
                 gk.reshape(c_in, r, c_out).transpose(1, 0, 2))
 
-    return _make_output(np.moveaxis(out, 0, 1), (x, kernel), backward_fn)
+    return _make_output(graph_conv_values(x.data, basis, kernel.data), (x, kernel),
+                        backward_fn)
 
 
 def dropout(x, rate: float, training: bool, rng) -> Tensor:

@@ -1,9 +1,16 @@
 """End-to-end command line runs on small synthetic scenarios."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from geofuse.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG = """\
 predicted_target = t02
@@ -407,3 +414,16 @@ def test_first_order_mode_runs_end_to_end(pipeline, tmp_path):
     assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
             == (run / "metrics.csv").read_bytes())
     assert len((tmp_path / "forecast.csv").read_text().splitlines()) == 1 + 2 * 6
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; importing scipy.linalg alone
+    # would add about 27 MiB to every command's resident memory.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = ("import sys, geofuse.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

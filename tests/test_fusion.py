@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import lapack
 
 import geofuse.fusion as gf
 from geofuse.errors import FusionError, GeofuseError, SingularSystemError, ValidationError
@@ -347,10 +346,11 @@ def test_fuse_panel_matches_per_step_route():
         assert np.array_equal(fused.values[t], step)
 
 
-def test_fuse_panel_rows_equal_one_hour_fusion_at_sixty_stations():
+def test_fuse_panel_rows_equal_one_hour_fusion_at_sixty_stations(monkeypatch):
     # Hours that share an availability pattern are solved together; each
     # hour's bits must not depend on how many hours share its solve. A GEMM
-    # over the stacked hours sums in another order and fails this.
+    # over the stacked hours sums in another order and fails this. Nor may
+    # they depend on how many patterns share a stacked factorization.
     scenario = generate(SynthConfig(seed=6, hours=48, gap_rate=0.02,
                                     stations_per_source=(20, 20, 20),
                                     targets_per_source=(2, 3, 2)))
@@ -358,6 +358,9 @@ def test_fuse_panel_rows_equal_one_hour_fusion_at_sixty_stations():
     for metric in ("euclidean", "haversine_km"):
         config = RbfConfig(distance_metric=metric)
         fused = fuse_panel(panel, config)
+        with monkeypatch.context() as m:
+            m.setattr(gf, "_STACK_BYTES", 3 * 8 * 20 * 60)  # 3 blocks of 20 sources per call
+            assert np.array_equal(fuse_panel(panel, config).values, fused.values)
         for t in range(panel.values.shape[0]):
             step = fuse_time_step(panel.values[t], panel.stations, panel.target_ids,
                                   config)
@@ -375,13 +378,13 @@ def test_refinement_rows_equal_one_row_solves(monkeypatch):
     b = rng.normal(size=(7, len(pts))) * np.logspace(-3, 5, 7)[:, None]
     b[3] = 0.0
 
-    dpotrs, solves = lapack.dpotrs, []
+    solve, solves = gf._solve, []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         solves.append(args)
-        return dpotrs(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(lapack, "dpotrs", counted)
+    monkeypatch.setattr(gf, "_solve", counted)
     singles, steps = [], []
     for row in b:
         solves.clear()

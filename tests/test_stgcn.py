@@ -577,6 +577,24 @@ def test_predict_validation():
     assert batch.shape == (3, 2, 3)
 
 
+def test_forecasts_record_nothing_on_an_active_tape():
+    # A forecast made while a caller builds a training step must leave that
+    # step's tape as it was: records there would keep the forecast's
+    # activations alive until the tape is walked.
+    model = StgcnModel(ModelConfig(n_nodes=5, in_channels=2, history_steps=12,
+                                   channels=(4, 3, 4), dropout=0.3), seed=60)
+    cheb, _ = operators(5, seed=61)
+    rows = np.random.default_rng(62).normal(size=(15, 5, 2))
+    windows = np.stack([rows[j:j + 12] for j in range(4)])
+    with gt.Tape() as tape:
+        predict(model, rows[:12], cheb, 3, 0)
+        assert len(tape) == 0
+        predict_batch(model, windows, cheb, 3, 1)
+        assert len(tape) == 0
+        predict_series(model, rows, cheb, 2, 0)
+        assert len(tape) == 0
+
+
 def test_model_checkpoint_roundtrip(tmp_path):
     model = StgcnModel(tiny_config(), seed=25)
     cheb, _ = operators(3, seed=26)

@@ -380,16 +380,15 @@ def fit_normalization(values: np.ndarray, target_ids: list[str],
     if not 1 <= train_rows <= values.shape[0]:
         raise ValidationError(
             f"train_rows must be in [1, {values.shape[0]}], got {train_rows}")
-    head = values[:train_rows]
-    mins = np.empty(len(target_ids))
-    maxs = np.empty(len(target_ids))
-    for k, tid in enumerate(target_ids):
-        col = head[:, :, k]
-        if np.isnan(col).all():
-            raise ValidationError(f"target {tid!r} has no data in the training rows")
-        mins[k] = np.nanmin(col)
-        maxs[k] = np.nanmax(col)
-    return NormalizationParams(list(target_ids), mins, maxs)
+    # One contiguous row per target: reducing it is several times faster than
+    # reducing over the leading axes of (T, S, K), where K is the inner axis.
+    cols = np.moveaxis(values[:train_rows], -1, 0).copy().reshape(values.shape[-1], -1)
+    empty = np.isnan(cols).all(axis=1)
+    if empty.any():
+        raise ValidationError(
+            f"target {target_ids[empty.argmax()]!r} has no data in the training rows")
+    return NormalizationParams(list(target_ids), np.nanmin(cols, axis=1),
+                               np.nanmax(cols, axis=1))
 
 
 def apply_normalization(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
@@ -399,13 +398,10 @@ def apply_normalization(values: np.ndarray, params: NormalizationParams) -> np.n
     """
     if values.shape[-1] != len(params.target_ids):
         raise ValidationError("normalization params do not match the target axis")
-    out = np.empty_like(values)
-    for k in range(values.shape[-1]):
-        span = params.scale(k)
-        if span == 0.0:
-            out[..., k] = np.where(np.isnan(values[..., k]), np.nan, 0.0)
-        else:
-            out[..., k] = (values[..., k] - params.mins[k]) / span
+    span = params.maxs - params.mins
+    out = np.divide(values - params.mins, span, out=np.zeros_like(values),
+                    where=span != 0.0)
+    out[np.isnan(values)] = np.nan
     return out
 
 

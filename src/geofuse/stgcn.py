@@ -27,22 +27,24 @@ minibatch is a few blocks of consecutive training windows under one forward;
 under dropout one mask covers every window that shares a column. Multi-step
 forecasts at inference iterate the one-step model, writing each prediction
 back into the window's predicted channel while exogenous channels hold their
-last value. The rollout runs the layers' arithmetic on plain arrays and
-records nothing; its first step is the same forward, bit for bit:
-``predict_series`` runs it over each contiguous run of windows,
-``predict_batch`` over stacked windows (T = P). Later steps stream: each step
-shifts every window by one column, so every layer has one new output column.
-Each gated temporal conv keeps its window's last f_t - 1 input columns and the
-head its last head_time_steps - 1 (nothing for the graph conv, ReLU and fc),
-gathered from the first forward's activations; a later step runs each layer on
-those plus the new column. The matmuls then run over other row counts, so BLAS
-may sum in another order, and later steps can differ from a full forward on
-the shifted window in the last bits.
+last value. One function, ``_rollout``, checks and rolls out every forecast:
+``predict_series`` runs it over a contiguous run of windows, ``predict_batch``
+over stacked windows (T = P), ``predict`` over one. It runs the layers'
+arithmetic on plain arrays and records nothing; its first step is the same
+forward, bit for bit. Later steps stream: each step shifts every window by one
+column, so every layer has one new output column. Each gated temporal conv
+keeps its window's last f_t - 1 input columns and the head its last
+head_time_steps - 1 (nothing for the graph conv, ReLU and fc), gathered from
+the first forward's activations; a later step runs each layer on those plus the
+new column. The matmuls then run over other row counts, so BLAS may sum in
+another order, and later steps can differ from a full forward on the shifted
+window in the last bits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 from dataclasses import asdict, dataclass
 
@@ -75,6 +77,12 @@ class ModelConfig:
     dropout: float = 0.3
 
     def validate(self) -> None:
+        sizes = (self.n_nodes, self.in_channels, self.history_steps, *self.channels,
+                 self.time_kernel, self.graph_kernel)
+        try:
+            list(map(operator.index, sizes))
+        except TypeError:
+            raise ConfigError(f"model sizes must be integers, got {sizes}") from None
         if self.n_nodes < 1 or self.in_channels < 1:
             raise ConfigError(
                 f"need at least one node and one channel, got "
@@ -266,17 +274,6 @@ class StgcnModel:
         out["head.fc.bias"] = self.fc_bias
         return out
 
-    def _check_operator(self, op: GraphOperator) -> None:
-        kind = operator_kind(self.config.graph_mode)
-        if op.kind != kind:
-            raise ValidationError(
-                f"model in {self.config.graph_mode!r} mode needs a "
-                f"{kind} operator, got {op.kind!r}")
-        n = self.config.n_nodes
-        if op.matrix.shape != (n, n):
-            raise ShapeError(
-                f"graph operator is {op.matrix.shape}, model has {n} nodes")
-
     def _check_shape(self, shape: tuple[int, ...], rows: bool = False) -> None:
         """Reject anything but (B, P, S, K) windows, or with ``rows`` (B, T >= P,
         S, K) rows."""
@@ -291,7 +288,13 @@ class StgcnModel:
     def _basis(self, op: GraphOperator) -> np.ndarray:
         """Check the operator; return the graph basis."""
         cfg = self.config
-        self._check_operator(op)
+        kind = operator_kind(cfg.graph_mode)
+        if op.kind != kind:
+            raise ValidationError(
+                f"model in {cfg.graph_mode!r} mode needs a {kind} operator, got {op.kind!r}")
+        if op.matrix.shape != (cfg.n_nodes, cfg.n_nodes):
+            raise ShapeError(
+                f"graph operator is {op.matrix.shape}, model has {cfg.n_nodes} nodes")
         return GraphConv.basis(op.matrix, cfg.graph_mode, cfg.graph_kernel)
 
     def stages(self, basis: np.ndarray, training: bool = False, rng=None) -> list:
@@ -488,7 +491,7 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     train_rows, val_rows = dataset.series("train"), dataset.series("val")
     train_y, val_y = train_y[:, 0], val_y[:, 0, :, 0]  # the next hour: (N, S, 1), (N, S)
 
-    model._check_operator(op)
+    model._basis(op)                        # rejects a mismatched operator up front
     params = model.parameters()
     opt = Adam(list(params.values()), lr=config.lr)
     rng = np.random.default_rng(config.seed)
@@ -552,54 +555,25 @@ def predict(model: StgcnModel, window: np.ndarray, op: GraphOperator,
 
 def predict_batch(model: StgcnModel, windows: np.ndarray, op: GraphOperator,
                   horizon: int, predicted_channel: int) -> np.ndarray:
-    """Rollout over (N, P, S, K) windows. Returns (N, horizon, S).
-
-    The first step is one full forward; later steps compute only each
-    layer's newest time column (see the module docstring).
-    """
+    """(N, horizon, S): ``_rollout`` on (N, P, S, K) windows, ``_PREDICT_BATCH`` at
+    a time. At N = 0, one empty call still checks the arguments and the shape."""
     windows = np.asarray(windows, dtype=np.float64)
     model._check_shape(windows.shape)
-    stages = model.stages(model._basis(op))
-    _check_rollout(windows, horizon, predicted_channel)
-    out = np.empty((windows.shape[0], horizon, windows.shape[2]))
-    for lo in range(0, windows.shape[0], _PREDICT_BATCH):
-        block = windows[lo:lo + _PREDICT_BATCH]
-        _rollout(stages, np.swapaxes(block, 1, 2), horizon, predicted_channel,
-                 out[lo:lo + block.shape[0]])
-    return out
+    return np.concatenate([
+        _rollout(model, windows[lo:lo + _PREDICT_BATCH], op, horizon, predicted_channel)
+        for lo in range(0, max(len(windows), 1), _PREDICT_BATCH)])
 
 
 def predict_series(model: StgcnModel, rows: np.ndarray, op: GraphOperator,
                    horizon: int, predicted_channel: int) -> np.ndarray:
-    """Rollout over every stride-1 window of (T, S, K) rows.
+    """``_rollout`` over every stride-1 window of (T, S, K) rows.
 
     Returns (T - P + 1, horizon, S): entry j forecasts from the window of
     rows [j, j + P), as ``predict_batch`` would, but the first step is one
     forward over all T rows.
     """
-    cfg = model.config
-    rows = np.asarray(rows, dtype=np.float64)
-    if (rows.ndim != 3 or rows.shape[0] < cfg.history_steps
-            or rows.shape[1:] != (cfg.n_nodes, cfg.in_channels)):
-        raise ShapeError(
-            f"expected rows (T >= {cfg.history_steps}, {cfg.n_nodes}, "
-            f"{cfg.in_channels}), got {rows.shape}")
-    stages = model.stages(model._basis(op))
-    _check_rollout(rows, horizon, predicted_channel)
-    out = np.empty((rows.shape[0] - cfg.history_steps + 1, horizon, rows.shape[1]))
-    _rollout(stages, np.swapaxes(rows[np.newaxis], 1, 2), horizon, predicted_channel, out)
-    return out
-
-
-def _check_rollout(values: np.ndarray, horizon: int, predicted_channel: int) -> None:
-    if np.isnan(values).any():
-        raise ValidationError("forecast windows contain missing values")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= predicted_channel < values.shape[-1]:
-        raise ValidationError(
-            f"predicted channel {predicted_channel} out of range for "
-            f"{values.shape[-1]} channels")
+    return _rollout(model, np.asarray(rows, dtype=np.float64)[np.newaxis], op,
+                    horizon, predicted_channel)
 
 
 def _tails(h: np.ndarray, context: int, n_pos: int) -> np.ndarray:
@@ -616,26 +590,39 @@ def _tails(h: np.ndarray, context: int, n_pos: int) -> np.ndarray:
     return np.array(cols.transpose(0, 2, 1, 4, 3)).reshape(b * n_pos, s, context, c)
 
 
-def _rollout(stages: list, x: np.ndarray, horizon: int, predicted_channel: int,
-             out: np.ndarray) -> None:
-    """Forecast every P-column window of (B, S, T, K) ``x`` into ``out``.
+def _rollout(model: StgcnModel, rows: np.ndarray, op: GraphOperator, horizon: int,
+             predicted_channel: int) -> np.ndarray:
+    """Forecast every P-row window of (B, T, S, K) ``rows``: the one function
+    that checks and rolls out every forecast.
 
-    ``out`` is (B (T - P + 1), horizon, S), window positions varying fastest.
-    Every step runs the stages' ``values``, so nothing is recorded, even on
-    an active ``Tape``. Step 1 runs each layer over all T columns, with
-    ``forward_rows``' bits, and keeps each layer's tails; each later step
-    streams one column per window through the stages, from those tails.
+    Checks the shape, the operator, missing values, the horizon and the
+    channel, then returns (B (T - P + 1), horizon, S), window positions
+    varying fastest. Every step runs the stages' ``values``, so nothing is
+    recorded, even on an active ``Tape``. Step 1 runs each layer over all T
+    columns, with ``forward_rows``' bits, and keeps each layer's tails; each
+    later step streams one column per window through the stages, from those
+    tails.
     """
-    n_pos = out.shape[0] // x.shape[0]
+    model._check_shape(rows.shape, rows=True)
+    stages = model.stages(model._basis(op))
+    if np.isnan(rows).any():
+        raise ValidationError("forecast windows contain missing values")
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    if not 0 <= predicted_channel < rows.shape[-1]:
+        raise ValidationError(f"predicted channel {predicted_channel} out of range "
+                              f"for {rows.shape[-1]} channels")
+    n_pos = rows.shape[1] - model.config.history_steps + 1
+    out = np.empty((rows.shape[0] * n_pos, horizon, rows.shape[2]))
     tails: list = []
-    h = x
+    h = x = np.swapaxes(rows, 1, 2)
     for context, _, layer in stages:
         if horizon > 1:
             tails.append(_tails(h, context, n_pos) if context else None)
         h = layer(h)
     out[:, 0] = h[:, :, 0]
     if horizon == 1:
-        return
+        return out
     nxt = _tails(x, 1, n_pos)[:, :, 0]                   # hold exogenous channels
     for step in range(1, horizon):
         nxt[:, :, predicted_channel] = h[:, :, 0]
@@ -646,6 +633,7 @@ def _rollout(stages: list, x: np.ndarray, horizon: int, predicted_channel: int,
                 tails[i] = h[:, :, 1:]
             h = layer(h)
         out[:, step] = h[:, :, 0]
+    return out
 
 
 def save_model(path, model: StgcnModel, meta: dict | None = None) -> None:
@@ -677,5 +665,7 @@ def load_model(path) -> tuple[StgcnModel, dict]:
             raise ValidationError(
                 f"parameter {name} has shape {blocks[name].shape}, "
                 f"expected {p.data.shape}")
+        if blocks[name].dtype.kind not in "iuf" or not np.isfinite(blocks[name]).all():
+            raise ValidationError(f"parameter {name} is not all finite real numbers")
         p.data[...] = blocks[name]
     return model, meta

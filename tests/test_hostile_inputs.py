@@ -7,8 +7,10 @@ return 0-7 and never raise. A fused.csv that breaks the observation rules
 exits 3, and a non-finite adjacency weight exits 5. A station graph with no
 edge exits 5 without a warning, and so does an observation too large for a
 float64 variance in ``report`` (exit 7). A model larger than physical memory
-exits 2 from the config and 7 from a checkpoint, before any weight is drawn,
-and observations with a century between two rows exit 3 before the hourly
+exits 2 from the config and 7 from a checkpoint, before any weight is drawn;
+a checkpoint with a non-integer size or a parameter that is not a finite
+real number exits 7; and
+observations with a century between two rows exit 3 before the hourly
 grid is allocated.
 """
 
@@ -254,6 +256,60 @@ def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_pat
             assert code == want, (key, command, lines)
             assert len(lines) == 1 and "physical memory" in lines[0], (key, command, lines)
             assert not out.exists(), (key, command)
+
+
+def _one_nan(block):
+    block = block.copy()
+    block.flat[3] = np.nan
+    return block
+
+
+def test_unusable_checkpoint_is_refused(scenario, tmp_path):
+    """A float where a model size belongs, or a parameter block with a NaN, text
+    or complex numbers: predict and evaluate exit 7 with one stderr line and
+    write nothing."""
+    root, paths = scenario
+    saved = root / "model" / "model.ckpt"
+    blocks, meta = load_checkpoint(saved)
+    config = meta["model_config"]
+    forged = tmp_path / "forged.ckpt"
+
+    def with_config(key, value):
+        save_checkpoint(forged, blocks, {**meta, "model_config": {**config, key: value}})
+
+    def with_block(forge):
+        # Written past save_checkpoint, which would cast the block to float64.
+        with np.load(saved) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["block2.graph.kernel"] = forge(arrays["block2.graph.kernel"])
+        with open(forged, "wb") as f:
+            np.savez(f, **arrays)
+
+    forgeries = {
+        "history_steps": lambda: with_config("history_steps", float(config["history_steps"])),
+        "n_nodes": lambda: with_config("n_nodes", float(config["n_nodes"])),
+        "in_channels": lambda: with_config("in_channels", 2.5),
+        "channels": lambda: with_config("channels", [4.0, 2, 4]),
+        "nan block": lambda: with_block(_one_nan),
+        "text block": lambda: with_block(lambda block: np.full(block.shape, "x")),
+        "complex block": lambda: with_block(lambda block: block + 1j),
+    }
+    out = tmp_path / "out"
+    model_args = ["--fused", str(paths["fused.csv"]), "--adjacency",
+                  str(paths["adjacency.csv"]), "--model", str(forged)]
+    for name, forge in forgeries.items():
+        forge()
+        for command, args in (("predict", ["--out", str(out / "forecast.csv")]),
+                              ("evaluate", ["--out-dir", str(out)])):
+            err = io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command] + model_args + args)
+            lines = err.getvalue().splitlines()
+            assert code == 7, (name, command, lines)
+            assert len(lines) == 1 and "Traceback" not in lines[0], (name, command, lines)
+            assert not out.exists(), (name, command)
 
 
 def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path):

@@ -288,6 +288,39 @@ def test_normalization_nan_passthrough_and_errors():
         invert_normalization(np.zeros(2), params, "missing")
 
 
+def _normalization_loop(values, train_rows):
+    """Reference: each target's bounds and scaling, one channel at a time."""
+    head = values[:train_rows]
+    mins = np.array([np.nanmin(head[..., k]) for k in range(values.shape[-1])])
+    maxs = np.array([np.nanmax(head[..., k]) for k in range(values.shape[-1])])
+    out = np.empty_like(values)
+    for k, span in enumerate(maxs - mins):
+        col = values[..., k]
+        out[..., k] = np.where(np.isnan(col), np.nan, 0.0) if span == 0.0 else (col - mins[k]) / span
+    return mins, maxs, out
+
+
+def test_normalization_matches_the_per_target_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        t, s, k = (int(n) for n in rng.integers(1, 12, size=3))
+        values = rng.normal(size=(t, s, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+        values[rng.random(values.shape) < 0.3] = np.nan
+        constant = rng.random(k) < 0.3                     # max == min: scaled to 0
+        values[..., constant] = np.where(np.isnan(values[..., constant]), np.nan,
+                                         rng.normal(size=int(constant.sum())))
+        train_rows = int(rng.integers(1, t + 1))
+        ids = [f"t{j}" for j in range(k)]
+        if np.isnan(values[:train_rows]).all(axis=(0, 1)).any():
+            with pytest.raises(ValidationError, match="no data"):
+                fit_normalization(values, ids, train_rows)
+            continue
+        params = fit_normalization(values, ids, train_rows)
+        mins, maxs, out = _normalization_loop(values, train_rows)
+        assert np.array_equal(params.mins, mins) and np.array_equal(params.maxs, maxs)
+        assert np.array_equal(apply_normalization(values, params), out, equal_nan=True)
+
+
 def test_make_windows_counts_and_content():
     t_total, s, k = 10, 2, 2
     values = np.arange(t_total * s * k, dtype=float).reshape(t_total, s, k)

@@ -69,6 +69,13 @@ def test_too_short_history_rejected_at_config_time():
                 channels=(4, 2, 4), time_kernel=3).validate()
 
 
+def test_model_sizes_must_be_integers():
+    for sizes in ({"history_steps": 6.0}, {"in_channels": 2.5}, {"channels": (3.0, 2, 3)}):
+        with pytest.raises(ConfigError, match="integers"):
+            tiny_config(**sizes).validate()
+    tiny_config(n_nodes=np.int64(3), history_steps=np.int32(6)).validate()
+
+
 def test_operator_and_shape_validation():
     model = StgcnModel(tiny_config(), seed=2)
     cheb3, ren3 = operators(3)
@@ -520,6 +527,24 @@ def test_series_rollout_over_a_split_with_dropped_windows():
         assert len(blocks) >= 2
         got = np.concatenate([predict_series(model, rows, cheb, 3, 0) for rows in blocks])
         _assert_rollout_close(got, predict_batch(model, ds.part(name)[0], cheb, 3, 0))
+
+
+def test_predict_batch_at_zero_windows_and_the_chunk_edges():
+    # Zero windows are one empty forecast, still checked. Around the chunk
+    # size of 256, stacked windows keep predict_series' bits on the same rows:
+    # a window lost or repeated at a chunk edge would shift every later entry.
+    model = StgcnModel(tiny_config(), seed=52)
+    cheb, _ = operators(3, seed=53)
+    none = np.zeros((0, 6, 3, 2))
+    assert predict_batch(model, none, cheb, 3, 1).shape == (0, 3, 3)
+    with pytest.raises(ValidationError, match="horizon"):
+        predict_batch(model, none, cheb, 0, 1)
+    assert stgcn._PREDICT_BATCH == 256
+    rows = np.random.default_rng(54).normal(size=(262, 3, 2))
+    for n in (255, 256, 257):
+        windows = np.stack([rows[j:j + 6] for j in range(n)])
+        series = predict_series(model, rows[:n + 5], cheb, 3, 1)
+        assert np.array_equal(predict_batch(model, windows, cheb, 3, 1), series)
 
 
 def test_predict_series_validation():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +76,6 @@ EXIT_TRAINING = 6
 EXIT_EVALUATION = 7
 
 
-class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 _EXIT_BY_ERROR = ((ConfigError, EXIT_CONFIG), (ParseError, EXIT_INGEST),
                   (FusionError, EXIT_FUSION), (GraphError, EXIT_GRAPH),
                   (TrainingError, EXIT_TRAINING))
@@ -93,11 +87,13 @@ def _code_for(exc: GeofuseError, default: int) -> int:
 
 @contextmanager
 def _phase(default_code: int):
-    """Map any pipeline error inside the block onto an exit code."""
+    """Tag any pipeline error inside the block with its exit code; the innermost phase wins."""
     try:
         yield
     except GeofuseError as exc:
-        raise _Failure(_code_for(exc, default_code), str(exc)) from exc
+        if not hasattr(exc, "exit_code"):
+            exc.exit_code = _code_for(exc, default_code)
+        raise
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -259,16 +255,13 @@ def _evaluate(model: StgcnModel, dataset, op, norm: NormalizationParams) -> list
 
 def cmd_synth(args) -> int:
     with _phase(EXIT_CONFIG):
-        config = SynthConfig(
-            seed=args.seed, stations_per_source=args.stations,
-            targets_per_source=args.targets, hours=args.hours,
-            noise=args.noise, gap_rate=args.gap_rate,
-            max_gap_len=args.max_gap_len, coupling=args.coupling)
+        config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)
+                                if hasattr(args, f.name)})
         result = generate(config)
     out = _ensure_dir(args.out_dir)
     write_scenario_csvs(result, out / "stations.csv", out / "observations.csv")
     print(f"synth: {len(result.stations)} stations, "
-          f"{len(result.panel.target_ids)} targets, {args.hours} hours "
+          f"{len(result.panel.target_ids)} targets, {config.hours} hours "
           f"-> {out / 'stations.csv'}, {out / 'observations.csv'}")
     print(f"synth: coupled target is {config.coupled_target}")
     return EXIT_OK
@@ -441,18 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"geofuse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic scenario")
+    # Flags not given stay unset, so the defaults are SynthConfig's.
+    p = sub.add_parser("synth", help="generate a synthetic scenario",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stations", type=_int_tuple, default=(5, 4, 4),
+    p.add_argument("--seed", type=int)
+    p.add_argument("--stations", dest="stations_per_source", type=_int_tuple,
                    help="stations per source, e.g. 5,4,4")
-    p.add_argument("--targets", type=_int_tuple, default=(2, 3, 2),
+    p.add_argument("--targets", dest="targets_per_source", type=_int_tuple,
                    help="targets per source, e.g. 2,3,2")
-    p.add_argument("--hours", type=int, default=240)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--gap-rate", type=float, default=0.0)
-    p.add_argument("--max-gap-len", type=int, default=6)
-    p.add_argument("--coupling", type=float, default=0.65)
+    p.add_argument("--hours", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--gap-rate", type=float)
+    p.add_argument("--max-gap-len", type=int)
+    p.add_argument("--coupling", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fuse", help="interpolate a dense panel from raw observations")
@@ -519,16 +514,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as failure:
-        print(f"geofuse {args.command}: {failure}", file=sys.stderr)
-        return failure.code
-    except GeofuseError as exc:
-        # Escaped every phase wrapper, so it came from writing an output.
+    except (GeofuseError, OSError) as exc:
         print(f"geofuse {args.command}: {exc}", file=sys.stderr)
-        return _code_for(exc, EXIT_OUTPUT)
-    except OSError as exc:
-        print(f"geofuse {args.command}: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+        # An error that escaped every phase came from writing an output.
+        return getattr(exc, "exit_code", _code_for(exc, EXIT_OUTPUT))
 
 
 if __name__ == "__main__":

@@ -5,19 +5,20 @@ comments are ignored. Unknown keys are rejected so typos fail loudly instead
 of silently running with defaults.
 
 ``PipelineConfig`` holds the windowing, cleaning and graph settings and the
-stage configs ``rbf``, ``model`` and ``train``; each key names one field of
-the section ``_PARSERS`` gives it. The result is validated once, so a bad
-value is a ``ConfigError`` before any stage runs; the graph stage checks
-``sigma``.
+stage configs ``rbf``, ``model`` and ``train``. Every field of these four
+dataclasses is a key, parsed by its annotation, except the sections and the
+model's ``n_nodes`` and ``in_channels``, which come from the fused panel. The
+result is validated once, so a bad value is a ``ConfigError`` before any
+stage runs; the graph stage checks ``sigma``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, ValidationError
 from .fusion import RbfConfig
-from .ingest import check_split
+from .ingest import DEFAULT_SPLIT, check_split
 from .stgcn import ModelConfig, TrainConfig
 
 
@@ -26,7 +27,7 @@ class PipelineConfig:
     # windowing
     horizon_steps: int = 3
     predicted_target: str = ""
-    split: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    split: tuple[float, float, float] = DEFAULT_SPLIT
     # cleaning
     max_gap_hours: int = 3
     # graph
@@ -63,27 +64,17 @@ def _parse_optional_float(text: str) -> float | None:
     return None if text.lower() in ("", "none", "auto") else float(text)
 
 
-# key -> (section, parser); section None is a field of PipelineConfig itself.
-_PARSERS = {
-    "history_steps": ("model", int),
-    "horizon_steps": (None, int),
-    "predicted_target": (None, str),
-    "split": (None, _triplet(float)),
-    "max_gap_hours": (None, int),
-    "shape_c": ("rbf", _parse_optional_float),
-    "ridge": ("rbf", _parse_optional_float),
-    "distance_metric": ("rbf", str),
-    "sigma": (None, _parse_optional_float),
-    "graph_mode": ("model", str),
-    "channels": ("model", _triplet(int)),
-    "time_kernel": ("model", int),
-    "graph_kernel": ("model", int),
-    "dropout": ("model", float),
-    "lr": ("train", float),
-    "batch_size": ("train", int),
-    "epochs": ("train", int),
-    "seed": ("train", int),
-}
+_BY_ANNOTATION = {"int": int, "float": float, "str": str, "float | None": _parse_optional_float,
+                  "tuple[int, int, int]": _triplet(int),
+                  "tuple[float, float, float]": _triplet(float)}
+
+# key -> (section, parser); section None is a field of PipelineConfig itself. An
+# annotation with no parser is a KeyError here, at import, never a dropped key.
+_PARSERS = {f.name: (section, _BY_ANNOTATION[f.type])
+            for section, cls in ((None, PipelineConfig), ("rbf", RbfConfig),
+                                 ("model", ModelConfig), ("train", TrainConfig))
+            for f in fields(cls)
+            if f.name not in ("rbf", "model", "train", "n_nodes", "in_channels")}
 
 
 def parse_config_text(text: str, source: str = "<config>", **overrides) -> PipelineConfig:

@@ -30,6 +30,7 @@ FULL = "%.17g"   # float64 round trip: values later stages read back
 SHORT = "%.10g"  # reports and forecasts
 OBSERVATIONS_HEADER = ("timestamp", "station_id", "target_id", "value")
 HOUR = timedelta(hours=1)
+DEFAULT_SPLIT = (0.6, 0.2, 0.2)  # train, validation and test fractions
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,14 @@ def load_stations(path) -> list[Station]:
         stations.append(station)
     if not stations:
         raise ValidationError("station table has no rows")
+    # The auto RBF shape divides by twice a squared distance, so that must be
+    # finite for every pair. Plain floats: a numpy check raised run-all's peak RSS.
+    xs, ys = [st.x for st in stations], [st.y for st in stations]
+    dx, dy = max(xs) - min(xs), max(ys) - min(ys)
+    if not math.isfinite(2.0 * (dx * dx + dy * dy)):
+        far = max(stations, key=lambda st: max(abs(st.x), abs(st.y)))
+        raise ValidationError(f"station {far.id}: coordinates too far from the other "
+                              "stations for float64 distances")
     return stations
 
 
@@ -337,7 +346,7 @@ def load_observations(path, stations: list[Station],
     return panel
 
 
-def clean_panel(panel: ObservationPanel, max_gap_hours: int = 3) -> ObservationPanel:
+def clean_panel(panel: ObservationPanel, max_gap_hours: int) -> ObservationPanel:
     """Fill short interior gaps per (station, target) series.
 
     A missing hour t between readings at hours p and n of its series is
@@ -471,7 +480,7 @@ def check_split(split: tuple[float, float, float]) -> None:
 
 def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[str],
                  history_steps: int, horizon_steps: int, predicted_target: str,
-                 split: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> WindowedDataset:
+                 split: tuple[float, float, float] = DEFAULT_SPLIT) -> WindowedDataset:
     """Cut (history, horizon) windows at stride 1 and split chronologically.
 
     A window starting at row i uses rows [i, i+P) as input and the predicted

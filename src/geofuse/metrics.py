@@ -22,6 +22,7 @@ MAPE_EPS = 1e-8
 KDE_BLOCK_ELEMENTS = 1 << 16
 # kde bins at spacing h / KDE_BIN_FRACTION; its error scales as that spacing squared.
 KDE_BIN_FRACTION = 16
+KDE_GRID_SIZE = 256
 
 
 def _check_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +89,7 @@ def silverman_bandwidth(values) -> float:
 
 
 def kde(values, grid=None, bandwidth: float | None = None,
-        grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+        grid_size: int = KDE_GRID_SIZE) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density estimate.
 
     Returns (grid, density). With no explicit grid, one spanning the data
@@ -223,7 +224,7 @@ def variance_report(raw: np.ndarray, fused: np.ndarray,
 
 
 def consistency_report(raw: np.ndarray, fused: np.ndarray, target_ids: list[str],
-                       grid_size: int = 256) -> ConsistencyReport:
+                       grid_size: int = KDE_GRID_SIZE) -> ConsistencyReport:
     """Variance, KDE and mean-trajectory comparisons per target.
 
     KDE curves share one grid per target (spanning both distributions) so

@@ -15,14 +15,13 @@ byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import OBSERVATIONS, ObservationPanel, Station, write_stations
+from .ingest import HOUR, OBSERVATIONS, ObservationPanel, Station, write_stations
 
-HOUR = timedelta(hours=1)
 _BUMPS = 3
 AR_RHO = 0.9                    # lag-1 correlation of the AR(1) modulation
 BUMP_RADIUS = (0.25, 0.45)      # range of the bumps' spatial scale

@@ -56,6 +56,19 @@ def test_every_key_is_a_field_of_its_section():
     assert {(section, key) for key, (section, _) in _PARSERS.items()} == declared
 
 
+def test_every_key_parses_the_text_of_its_default():
+    """``sigma = auto``, ``channels = 32, 8, 32`` and so on give the defaults back.
+
+    The reprs are compared, so a key parsed as the wrong type fails too.
+    """
+    config = PipelineConfig()
+    for key, (section, _) in _PARSERS.items():
+        default = getattr(getattr(config, section) if section else config, key)
+        text = ("auto" if default is None else ", ".join(map(str, default))
+                if isinstance(default, tuple) else str(default))
+        assert repr(parse_config_text(f"{key} = {text}")) == repr(config), key
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ConfigError, match=r"line 2: unknown key 'historysteps'"):
         parse_config_text("seed = 1\nhistorysteps = 9\n")

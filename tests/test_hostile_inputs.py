@@ -6,7 +6,8 @@ through ``main`` against a model trained once for the module. ``main`` must
 return 0-7 and never raise. A fused.csv that breaks the observation rules
 exits 3, and a non-finite adjacency weight exits 5. A station graph with no
 edge exits 5 without a warning, and so does an observation too large for a
-float64 variance in ``report`` (exit 7). A model larger than physical memory
+float64 variance in ``report`` (exit 7); a station too far from the others
+for float64 distances exits 3 without one. A model larger than physical memory
 exits 2 from the config and 7 from a checkpoint, before any weight is drawn;
 a checkpoint with a non-integer size or a parameter that is not a finite
 real number exits 7; and
@@ -188,6 +189,38 @@ def test_edgeless_graph_exits_5_quietly(scenario, tmp_path):
         assert "no edge" in lines[0], lines
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "tiny_sigma.cfg", "zero_adjacency.csv"], command
+
+
+@pytest.mark.parametrize("x", ["1e155", "1e300", "-1e308"])
+def test_station_too_far_for_float64_distances_exits_3_quietly(scenario, tmp_path, x):
+    """A finite coordinate whose squared distances overflow is refused at ingest."""
+    root, paths = scenario
+    lines = paths["stations.csv"].read_text().splitlines(keepends=True)
+    fields = lines[2].split(",")
+    fields[2] = x
+    stations = tmp_path / "stations.csv"
+    stations.write_text("".join(lines[:2] + [",".join(fields)] + lines[3:]))
+    common = ["--stations", str(stations), "--observations", str(paths["observations.csv"])]
+    runs = {
+        "fuse": common + ["--out", str(tmp_path / "fused.csv")],
+        "graph": ["--stations", str(stations), "--out", str(tmp_path / "adjacency.csv")],
+        "report": common + ["--fused", str(paths["fused.csv"]),
+                            "--out-dir", str(tmp_path / "report")],
+        "run-all": common + ["--config", str(root / "run.cfg"),
+                             "--out-dir", str(tmp_path / "out")],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command] + args)
+        assert code == 3, (command, err.getvalue())
+        assert [str(w.message) for w in caught] == [], command
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"geofuse {command}: station {fields[0]}: "), lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stations.csv"], command
 
 
 def test_huge_observation_fails_the_report_quietly(scenario, tmp_path):

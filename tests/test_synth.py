@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geofuse.cli import main
 from geofuse.errors import ConfigError
 from geofuse.ingest import load_observations, load_stations
 from geofuse.synth import SynthConfig, generate, write_scenario_csvs
@@ -110,6 +111,15 @@ def test_csv_round_trip(tmp_path):
     for a, b in zip(stations, result.stations):
         assert a.x == pytest.approx(b.x, abs=5e-7)
         assert a.y == pytest.approx(b.y, abs=5e-7)
+
+
+def test_cli_without_flags_writes_the_default_scenario(tmp_path):
+    """``geofuse synth``'s defaults are ``SynthConfig``'s."""
+    assert main(["synth", "--out-dir", str(tmp_path / "cli")]) == 0
+    write_scenario_csvs(generate(SynthConfig()), tmp_path / "stations.csv",
+                        tmp_path / "observations.csv")
+    for name in ("stations.csv", "observations.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_config_validation():

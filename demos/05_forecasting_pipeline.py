@@ -83,11 +83,9 @@ print("=== does fusion distort the data? ===")
 
 def show(panel, fused_values, target_ids):
     rep = consistency_report(panel, fused_values, target_ids)
-    for tid_ in target_ids:
-        v = rep.variance[tid_]
-        kd = rep.kde[tid_]
-        l1 = kde_l1_distance(kd.grid, kd.raw_density, kd.fused_density)
-        print(f"  {tid_}: fused/raw variance ratio {v.ratio:.3f}, "
+    for tid_, tc in rep.items():
+        l1 = kde_l1_distance(tc.grid, tc.raw_density, tc.fused_density)
+        print(f"  {tid_}: fused/raw variance ratio {tc.ratio:.3f}, "
               f"KDE L1 distance {l1:.3f}")
 
 

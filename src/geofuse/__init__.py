@@ -52,7 +52,7 @@ from .ingest import (
     make_windows,
 )
 from .metrics import (
-    ConsistencyReport,
+    TargetConsistency,
     consistency_report,
     kde,
     kde_l1_distance,
@@ -61,7 +61,6 @@ from .metrics import (
     r2,
     rmse,
     silverman_bandwidth,
-    variance_report,
 )
 from .optim import Adam
 from .stgcn import (

@@ -387,10 +387,9 @@ def cmd_report(args) -> int:
         report = consistency_report(raw.values, fused.values, fused.target_ids)
         out = _ensure_dir(args.out_dir)
         names = write_report_csvs(report, out, fused.timestamps)
-    for tid in report.target_ids:
-        tv = report.variance[tid]
-        print(f"report: {tid} raw_var={tv.raw_variance:.6g} "
-              f"fused_var={tv.fused_variance:.6g} ratio={tv.ratio:.4g}")
+    for tid, tc in report.items():
+        print(f"report: {tid} raw_var={tc.raw_variance:.6g} "
+              f"fused_var={tc.fused_variance:.6g} ratio={tc.ratio:.4g}")
     print(f"report: wrote {', '.join(names)} in {out}")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -31,6 +32,8 @@ SHORT = "%.10g"  # reports and forecasts
 OBSERVATIONS_HEADER = ("timestamp", "station_id", "target_id", "value")
 HOUR = timedelta(hours=1)
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)  # train, validation and test fractions
+# What no station or target id may hold: the CSV writers do not quote.
+UNQUOTABLE = re.compile(r'[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,9 @@ def load_stations(path) -> list[Station]:
             x, y = float(xs), float(ys)
         except ValueError:
             raise ParseError(f"bad coordinate pair ({xs!r}, {ys!r})", line=line)
+        if UNQUOTABLE.search(sid + target_field):
+            raise ValidationError(
+                f"station {sid!r}: ids must not hold a comma, a double quote or a line break")
         station = Station(sid, source_id, x, y,
                           tuple(t for t in target_field.split("|") if t))
         station.validate()

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .fusion import FusionMatrix
 from .ingest import FULL, OBSERVATIONS_HEADER, SHORT, LongFormat, csv_rows, write_table
-from .metrics import ConsistencyReport
+from .metrics import TargetConsistency
 from .stgcn import EpochStats
 
 FUSED_HEADER = ("timestamp", "station_id", "target_id", "value", "provenance")
@@ -102,7 +102,7 @@ def write_forecast_csv(path, timestamps: list[datetime], station_ids: list[str],
     FORECAST.write(path, timestamps, [(sid, target_id) for sid in station_ids], values, None)
 
 
-def write_report_csvs(report: ConsistencyReport, out_dir,
+def write_report_csvs(report: dict[str, TargetConsistency], out_dir,
                       timestamps: list[datetime]) -> list[str]:
     """variance.csv plus kde_<target>.csv / overlay_<target>.csv per target.
 
@@ -111,16 +111,15 @@ def write_report_csvs(report: ConsistencyReport, out_dir,
     out = Path(out_dir)
     stamps = [ts.isoformat(timespec="minutes") for ts in timestamps]
     names, variance = ["variance.csv"], []
-    for tid in report.target_ids:
-        kd, ov, tv = report.kde[tid], report.overlay[tid], report.variance[tid]
-        variance.append((tid, tv.raw_variance, tv.fused_variance, tv.ratio))
+    for tid, tc in report.items():
+        variance.append((tid, tc.raw_variance, tc.fused_variance, tc.ratio))
         write_table(out / f"kde_{tid}.csv", ("grid", "raw_density", "fused_density"),
-                    zip(kd.grid.tolist(), kd.raw_density.tolist(),
-                        kd.fused_density.tolist()), SHORT)
+                    zip(tc.grid.tolist(), tc.raw_density.tolist(),
+                        tc.fused_density.tolist()), SHORT)
         write_table(out / f"overlay_{tid}.csv",
                     ("timestamp", "raw_mean", "fused_mean", "raw_variance", "fused_variance"),
-                    zip(stamps, ov.raw_mean.tolist(), ov.fused_mean.tolist(),
-                        tv.raw_trajectory.tolist(), tv.fused_trajectory.tolist()), SHORT)
+                    zip(stamps, tc.raw_mean.tolist(), tc.fused_mean.tolist(),
+                        tc.raw_trajectory.tolist(), tc.fused_trajectory.tolist()), SHORT)
         names += [f"kde_{tid}.csv", f"overlay_{tid}.csv"]
     write_table(out / "variance.csv", ("target_id", "raw_variance", "fused_variance", "ratio"),
                 variance, SHORT)

@@ -149,51 +149,41 @@ def kde_l1_distance(grid, density_a, density_b) -> float:
 
 
 @dataclass
-class TargetVariance:
+class TargetConsistency:
+    """One target's diagnostics: the columns of variance.csv, kde_<t>.csv and overlay_<t>.csv."""
+
     raw_variance: float
     fused_variance: float
-    ratio: float                 # fused / raw
+    ratio: float                 # fused / raw, NaN when the raw variance is 0
+    grid: np.ndarray             # shared by both KDE curves
+    raw_density: np.ndarray
+    fused_density: np.ndarray
+    raw_mean: np.ndarray         # per-hour cross-station mean, NaN when none observed
+    fused_mean: np.ndarray
     raw_trajectory: np.ndarray   # per-hour cross-station variance, NaN when < 2 raw
     fused_trajectory: np.ndarray
 
 
-@dataclass
-class KdeOverlay:
-    grid: np.ndarray
-    raw_density: np.ndarray
-    fused_density: np.ndarray
-
-
-@dataclass
-class MeanOverlay:
-    raw_mean: np.ndarray    # cross-station mean of observed values, NaN when none
-    fused_mean: np.ndarray
-
-
-@dataclass
-class ConsistencyReport:
-    target_ids: list[str]
-    variance: dict[str, TargetVariance]
-    kde: dict[str, KdeOverlay]
-    overlay: dict[str, MeanOverlay]
-
-
-def _cross_station_variance(values: np.ndarray) -> np.ndarray:
-    """(T, S) -> (T,) population variance over stations, NaN below 2 samples."""
+def _cross_station(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, S) -> (T,) mean and population variance over the observed stations,
+    NaN with no sample and below 2 samples respectively."""
     counts = (~np.isnan(values)).sum(axis=1)
     safe = np.maximum(counts, 1)
     means = np.nansum(values, axis=1) / safe
     squares = np.nansum((values - means[:, None]) ** 2, axis=1)
-    return np.where(counts >= 2, squares / safe, np.nan)
+    return (np.where(counts > 0, means, np.nan),
+            np.where(counts >= 2, squares / safe, np.nan))
 
 
-def variance_report(raw: np.ndarray, fused: np.ndarray,
-                    target_ids: list[str]) -> dict[str, TargetVariance]:
-    """Compare the spread of raw readings to the spread of the fused panel.
+def consistency_report(raw: np.ndarray, fused: np.ndarray, target_ids: list[str],
+                       grid_size: int = KDE_GRID_SIZE) -> dict[str, TargetConsistency]:
+    """Variance, KDE and mean-trajectory comparisons per target, in target order.
 
     Raw statistics use only observed cells; fused statistics use every cell.
     Interpolation should roughly preserve variance, so ratios far from 1
-    flag an inconsistent fusion.
+    flag an inconsistent fusion. KDE curves share one grid per target
+    (spanning both distributions) so they can be differenced directly; each
+    curve uses its own Silverman bandwidth.
     """
     if raw.shape != fused.shape:
         raise ValidationError(f"raw {raw.shape} and fused {fused.shape} differ")
@@ -205,51 +195,25 @@ def variance_report(raw: np.ndarray, fused: np.ndarray,
     if not largest <= bound:
         raise ValidationError(f"values must be finite and at most {bound:.3g} in magnitude, "
                               f"got {largest:.3g}")
-    report = {}
     for k, tid in enumerate(target_ids):
-        raw_k, fused_k = raw[:, :, k], fused[:, :, k]
-        observed = ~np.isnan(raw_k)
-        if not observed.any():
+        if np.isnan(raw[:, :, k]).all():
             raise ValidationError(f"target {tid!r} has no raw observations")
-        raw_var = float(np.var(raw_k[observed]))
-        fused_var = float(np.var(fused_k))
-        report[tid] = TargetVariance(
-            raw_variance=raw_var,
-            fused_variance=fused_var,
-            ratio=fused_var / raw_var if raw_var > 0 else float("nan"),
-            raw_trajectory=_cross_station_variance(raw_k),
-            fused_trajectory=_cross_station_variance(fused_k),
-        )
-    return report
-
-
-def consistency_report(raw: np.ndarray, fused: np.ndarray, target_ids: list[str],
-                       grid_size: int = KDE_GRID_SIZE) -> ConsistencyReport:
-    """Variance, KDE and mean-trajectory comparisons per target.
-
-    KDE curves share one grid per target (spanning both distributions) so
-    they can be differenced directly; each curve uses its own Silverman
-    bandwidth.
-    """
-    variance = variance_report(raw, fused, target_ids)
-    kdes: dict[str, KdeOverlay] = {}
-    overlays: dict[str, MeanOverlay] = {}
+    report = {}
     for k, tid in enumerate(target_ids):
         raw_k, fused_k = raw[:, :, k], fused[:, :, k]
         raw_vals = raw_k[~np.isnan(raw_k)]
         fused_vals = fused_k.ravel()
-        h_raw = silverman_bandwidth(raw_vals)
-        h_fused = silverman_bandwidth(fused_vals)
+        raw_var, fused_var = float(np.var(raw_vals)), float(np.var(fused_k))
+        h_raw, h_fused = silverman_bandwidth(raw_vals), silverman_bandwidth(fused_vals)
+        # A constant curve has no Silverman bandwidth: it borrows the other
+        # curve's, or 1.0 (build_adjacency's degenerate sigma) if both are 0.
+        h_raw, h_fused = h_raw or h_fused or 1.0, h_fused or h_raw or 1.0
         pad = 3.0 * max(h_raw, h_fused)
-        lo = min(raw_vals.min(), fused_vals.min()) - pad
-        hi = max(raw_vals.max(), fused_vals.max()) + pad
-        grid = np.linspace(lo, hi, grid_size)
-        _, raw_density = kde(raw_vals, grid, h_raw)
-        _, fused_density = kde(fused_vals, grid, h_fused)
-        kdes[tid] = KdeOverlay(grid, raw_density, fused_density)
-        counts = (~np.isnan(raw_k)).sum(axis=1)
-        sums = np.nansum(raw_k, axis=1)
-        raw_mean = np.divide(sums, counts, out=np.full(len(counts), np.nan),
-                             where=counts > 0)
-        overlays[tid] = MeanOverlay(raw_mean, fused_k.mean(axis=1))
-    return ConsistencyReport(list(target_ids), variance, kdes, overlays)
+        grid = np.linspace(min(raw_vals.min(), fused_vals.min()) - pad,
+                           max(raw_vals.max(), fused_vals.max()) + pad, grid_size)
+        raw_mean, raw_traj = _cross_station(raw_k)
+        report[tid] = TargetConsistency(
+            raw_var, fused_var, fused_var / raw_var if raw_var > 0 else float("nan"),
+            grid, kde(raw_vals, grid, h_raw)[1], kde(fused_vals, grid, h_fused)[1],
+            raw_mean, fused_k.mean(axis=1), raw_traj, _cross_station(fused_k)[1])
+    return report

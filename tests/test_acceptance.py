@@ -387,9 +387,8 @@ def test_c10_fusion_consistency_on_smooth_field():
     report = consistency_report(scenario.panel.values, fused.values,
                                 fused.target_ids)
     ratios, l1s = [], []
-    for tid in report.target_ids:
-        ratio = report.variance[tid].ratio
-        kd = report.kde[tid]
+    for tid, kd in report.items():
+        ratio = kd.ratio
         l1 = kde_l1_distance(kd.grid, kd.raw_density, kd.fused_density)
         ratios.append(ratio)
         l1s.append(l1)

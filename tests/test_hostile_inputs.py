@@ -12,10 +12,13 @@ exits 2 from the config and 7 from a checkpoint, before any weight is drawn;
 a checkpoint with a non-integer size or a parameter that is not a finite
 real number exits 7; and
 observations with a century between two rows exit 3 before the hourly
-grid is allocated.
+grid is allocated. A station id that the unquoted artifacts cannot carry
+exits 3 quietly, and a target that reads one constant value everywhere is
+reported, not refused.
 """
 
 import contextlib
+import csv
 import io
 import math
 import tracemalloc
@@ -221,6 +224,66 @@ def test_station_too_far_for_float64_distances_exits_3_quietly(scenario, tmp_pat
         assert len(lines) == 1 and lines[0].startswith(
             f"geofuse {command}: station {fields[0]}: "), lines
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stations.csv"], command
+
+
+@pytest.mark.parametrize("sid", ["s,01", '"s01', "s\n01"])
+def test_unquotable_station_id_exits_3_quietly(scenario, tmp_path, sid):
+    """An id a quoted stations.csv field holds but an unquoted artifact cannot."""
+    _, paths = scenario
+    with open(paths["stations.csv"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][0] = sid
+    stations = tmp_path / "stations.csv"
+    with open(stations, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    runs = {
+        "fuse": ["--stations", str(stations), "--observations", str(paths["observations.csv"]),
+                 "--out", str(tmp_path / "fused.csv")],
+        "graph": ["--stations", str(stations), "--out", str(tmp_path / "adjacency.csv")],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command] + args)
+        assert code == 3, (command, err.getvalue())
+        assert [str(w.message) for w in caught] == [], command
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"geofuse {command}: station {sid!r}: "), lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stations.csv"], command
+
+
+@pytest.mark.parametrize("value", ["0.000000", "1.0"])
+def test_constant_target_is_reported(scenario, tmp_path, value):
+    """A target with one value everywhere has no Silverman bandwidth; report and
+    run-all still finish, with a NaN variance ratio."""
+    root, paths = scenario
+    lines = paths["observations.csv"].read_text().splitlines(keepends=True)
+    rows = [line.split(",") for line in lines]
+    flat = tmp_path / "observations.csv"
+    flat.write_text("".join(
+        ",".join(row[:3] + [value + "\n"]) if row[2] == "t01" and row[3].strip() else line
+        for row, line in zip(rows, lines)))
+    common = ["--stations", str(paths["stations.csv"]), "--observations", str(flat)]
+    runs = {
+        "run-all": common + ["--config", str(root / "run.cfg"),
+                             "--out-dir", str(tmp_path / "out")],
+        "report": common + ["--fused", str(tmp_path / "out" / "fused.csv"),
+                            "--out-dir", str(tmp_path / "report")],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command] + args)
+        assert code == 0, (command, err.getvalue())
+        assert err.getvalue() == "", command
+    for out in ("out", "report"):
+        variance = (tmp_path / out / "variance.csv").read_text().splitlines()
+        assert variance[1].startswith("t01,0,") and variance[1].endswith(",nan"), variance
 
 
 def test_huge_observation_fails_the_report_quietly(scenario, tmp_path):

@@ -1,5 +1,6 @@
 """CSV loading, gap cleaning, normalization and windowing."""
 
+import re
 import tracemalloc
 from datetime import datetime
 
@@ -79,6 +80,14 @@ def test_load_stations_errors(tmp_path):
         b"station_id,source_id,x,y,targets\ns\xff,n,0,0,pm25\n")
     with pytest.raises(ParseError, match="not UTF-8"):
         load_stations(tmp_path / "e.csv")
+    # Quoted fields may hold what the unquoted artifacts cannot carry.
+    for sid, field in (("s,01", '"s,01"'), ('"s01', '"""s01"'), ("s\n01", '"s\n01"')):
+        with pytest.raises(ValidationError, match=re.escape(f"station {sid!r}: ids")):
+            load_stations(write(
+                tmp_path, "f.csv", f"station_id,source_id,x,y,targets\n{field},n,0,0,pm25\n"))
+    with pytest.raises(ValidationError, match="station 's1': ids must not hold"):
+        load_stations(write(
+            tmp_path, "g.csv", 'station_id,source_id,x,y,targets\ns1,n,0,0,"pm,25"\n'))
 
 
 def test_load_observations_builds_hourly_grid(tmp_path):

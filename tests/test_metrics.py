@@ -17,7 +17,6 @@ from geofuse.metrics import (
     r2,
     rmse,
     silverman_bandwidth,
-    variance_report,
 )
 
 # Independently derived constants:
@@ -219,7 +218,7 @@ def _toy_panels(t=30, s=5, k=2, missing_rate=0.3, seed=6):
 
 def test_variance_report_identity_when_nothing_missing():
     raw, fused, target_ids = _toy_panels(missing_rate=0.0)
-    report = variance_report(raw, fused, target_ids)
+    report = consistency_report(raw, fused, target_ids)
     for entry in report.values():
         assert entry.raw_variance == pytest.approx(entry.fused_variance)
         assert entry.ratio == pytest.approx(1.0)
@@ -228,7 +227,7 @@ def test_variance_report_identity_when_nothing_missing():
 
 def test_variance_report_matches_numpy():
     raw, fused, target_ids = _toy_panels()
-    report = variance_report(raw, fused, target_ids)
+    report = consistency_report(raw, fused, target_ids)
     assert set(report) == {"t0", "t1"}
     for j, tid in enumerate(target_ids):
         observed = ~np.isnan(raw[:, :, j])
@@ -247,27 +246,27 @@ def test_variance_trajectory_nan_below_two_stations():
     raw, fused, target_ids = _toy_panels()
     raw[3, :, 0] = np.nan
     raw[3, 2, 0] = fused[3, 2, 0]  # a single observed station that hour
-    report = variance_report(raw, fused, target_ids)
+    report = consistency_report(raw, fused, target_ids)
     assert np.isnan(report["t0"].raw_trajectory[3])
     assert not np.isnan(report["t0"].fused_trajectory[3])
     with pytest.raises(ValidationError, match="shape|differ"):
-        variance_report(raw[:10], fused, target_ids)
+        consistency_report(raw[:10], fused, target_ids)
 
 
 def test_consistency_report_structure():
     raw, fused, target_ids = _toy_panels()
     report = consistency_report(raw, fused, target_ids)
-    assert report.target_ids == ["t0", "t1"]
-    assert set(report.variance) == {"t0", "t1"}
+    assert list(report) == ["t0", "t1"]
+    assert set(report) == {"t0", "t1"}
     for j, tid in enumerate(target_ids):
-        overlay = report.kde[tid]
+        overlay = report[tid]
         assert overlay.grid.shape == overlay.raw_density.shape
         assert overlay.grid.shape == overlay.fused_density.shape
         # Both curves live on one grid wide enough for either distribution.
         assert overlay.grid[0] < min(np.nanmin(raw[:, :, j]), fused[:, :, j].min())
         assert kde_l1_distance(overlay.grid, overlay.raw_density,
                                overlay.fused_density) >= 0.0
-        means = report.overlay[tid]
+        means = report[tid]
         assert means.raw_mean.shape == (30,)
         assert means.fused_mean.shape == (30,)
         assert np.allclose(means.fused_mean, fused[:, :, j].mean(axis=1))
@@ -277,8 +276,37 @@ def test_consistency_report_raw_mean_nan_when_unobserved():
     raw, fused, target_ids = _toy_panels()
     raw[7, :, 1] = np.nan
     report = consistency_report(raw, fused, target_ids)
-    assert np.isnan(report.overlay["t1"].raw_mean[7])
+    assert np.isnan(report["t1"].raw_mean[7])
     observed = ~np.isnan(raw[4, :, 1])
     if observed.any():
-        assert report.overlay["t1"].raw_mean[4] == pytest.approx(
+        assert report["t1"].raw_mean[4] == pytest.approx(
             float(np.mean(raw[4, observed, 1])))
+
+
+def test_consistency_report_checks_every_target_before_any_bandwidth():
+    raw, fused, target_ids = _toy_panels()
+    raw[:, :, 0] = np.nan
+    raw[4, 2, 0] = fused[4, 2, 0]  # t0: one reading, too few for a bandwidth
+    raw[:, :, 1] = np.nan          # t1: none
+    with pytest.raises(ValidationError, match="target 't1' has no raw observations"):
+        consistency_report(raw, fused, target_ids)
+    raw[4, 3, 1] = fused[4, 3, 1]
+    with pytest.raises(ValidationError, match="needs >= 2 values"):
+        consistency_report(raw, fused, target_ids)
+
+
+def test_constant_curve_borrows_the_other_bandwidth():
+    raw, fused, target_ids = _toy_panels()
+    raw[:, :, 0] = np.where(np.isnan(raw[:, :, 0]), np.nan, 1.0)  # raw constant only
+    raw[:, :, 1] = np.where(np.isnan(raw[:, :, 1]), np.nan, 0.0)  # both constant
+    fused[:, :, 1] = 0.0
+    report = consistency_report(raw, fused, target_ids)
+    t0, t1 = report["t0"], report["t1"]
+    assert t0.raw_variance == 0.0 and np.isnan(t0.ratio)
+    h_fused = silverman_bandwidth(fused[:, :, 0])
+    raw_vals = raw[:, :, 0][~np.isnan(raw[:, :, 0])]
+    assert np.array_equal(t0.raw_density, kde(raw_vals, t0.grid, h_fused)[1])
+    assert t1.grid[0] == -3.0 and t1.grid[-1] == 3.0  # both curves fall back to 1.0
+    for density in (t1.raw_density, t1.fused_density):
+        assert np.allclose(density, GAUSS_PEAK * np.exp(-0.5 * t1.grid ** 2),
+                           rtol=1e-12, atol=0.0)

@@ -172,6 +172,17 @@ def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
             raise TrainingError("training split is empty")
         train_rows = min(fused.values.shape[0], n_train - 1 + p + q)
         norm = fit_normalization(fused.values, fused.target_ids, train_rows)
+        # Refuse a target whose scale one outlier stretches until the rest round away.
+        train = fused.values[:train_rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = apply_normalization(train, norm)
+            for k, tid in enumerate(fused.target_ids):
+                v = train[..., k]
+                err = np.abs(invert_normalization(scaled[..., k], norm, tid) - v)
+                if (np.isfinite(v) & ~(err <= 1e-6 * (1.0 + np.abs(v)))).any():
+                    raise TrainingError(
+                        f"target {tid!r} spans {norm.mins[k]:.6g} to {norm.maxs[k]:.6g} in "
+                        "the training rows; min-max scaling cannot keep its other readings")
         return _windows(fused, norm, p, q, config.predicted_target, config.split), norm
 
 

@@ -29,16 +29,17 @@ forecasts at inference iterate the one-step model, writing each prediction
 back into the window's predicted channel while exogenous channels hold their
 last value. One function, ``_rollout``, checks and rolls out every forecast:
 ``predict_series`` runs it over a contiguous run of windows, ``predict_batch``
-over stacked windows (T = P), ``predict`` over one. It runs the layers'
-arithmetic on plain arrays and records nothing; its first step is the same
-forward, bit for bit. Later steps stream: each step shifts every window by one
-column, so every layer has one new output column. Each gated temporal conv
-keeps its window's last f_t - 1 input columns and the head its last
-head_time_steps - 1 (nothing for the graph conv, ReLU and fc), gathered from
-the first forward's activations; a later step runs each layer on those plus the
-new column. The matmuls then run over other row counts, so BLAS may sum in
-another order, and later steps can differ from a full forward on the shifted
-window in the last bits.
+over stacked windows (T = P), ``predict`` over one, at most ``_PREDICT_BATCH``
+window positions per call, so a forecast's arrays do not grow with the series.
+It runs the layers' arithmetic on plain arrays and records nothing; its first
+step is the same forward, bit for bit. Later steps stream: each step shifts
+every window by one column, so every layer has one new output column. Each
+gated temporal conv keeps its window's last f_t - 1 input columns and the head
+its last head_time_steps - 1 (nothing for the graph conv, ReLU and fc),
+gathered from the first forward's activations; a later step runs each layer on
+those plus the new column. The matmuls then run over other row counts, so BLAS
+may sum in another order, and later steps can differ from a full forward on the
+shifted window in the last bits.
 """
 
 from __future__ import annotations
@@ -473,8 +474,8 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     every window that shares a column. Some windows sit out each epoch, and
     an epoch's ``train_loss`` is the mean over the windows it saw.
     Validation loss, MAE and RMSE of the one-step forecasts are computed on
-    the normalized scale after every epoch, with one ``predict_series``
-    forward per contiguous run of validation windows; the parameters
+    the normalized scale after every epoch, by ``predict_series`` on each run
+    of validation windows, at most ``_PREDICT_BATCH`` per forward; the parameters
     of the best validation epoch are restored into the model before
     returning. Freed pages stay in the process, up to 64 MiB (see
     ``_keep_freed_pages``).
@@ -537,8 +538,10 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     return TrainResult(history, best_epoch, float(best_val))
 
 
-# Windows per forward in ``predict_batch``: bounds its arrays for any N.
-_PREDICT_BATCH = 256
+# Window positions per ``_rollout`` call in ``predict_batch`` and ``predict_series``,
+# so a forecast's arrays do not grow with its windows. Of 8 to 256, blocks of 32
+# and 64 ran fastest at 13 and 60 stations (they stay in cache); 32 holds half.
+_PREDICT_BATCH = 32
 
 
 def predict(model: StgcnModel, window: np.ndarray, op: GraphOperator,
@@ -549,8 +552,7 @@ def predict(model: StgcnModel, window: np.ndarray, op: GraphOperator,
     rolling window; the other channels repeat their last observed value.
     Returns (horizon, S) on the same (normalized) scale as the input.
     """
-    preds = predict_batch(model, window[np.newaxis], op, horizon, predicted_channel)
-    return preds[0]
+    return predict_batch(model, window[np.newaxis], op, horizon, predicted_channel)[0]
 
 
 def predict_batch(model: StgcnModel, windows: np.ndarray, op: GraphOperator,
@@ -569,11 +571,16 @@ def predict_series(model: StgcnModel, rows: np.ndarray, op: GraphOperator,
     """``_rollout`` over every stride-1 window of (T, S, K) rows.
 
     Returns (T - P + 1, horizon, S): entry j forecasts from the window of
-    rows [j, j + P), as ``predict_batch`` would, but the first step is one
-    forward over all T rows.
+    rows [j, j + P), as ``predict_batch`` would, with one first-step forward
+    per block of at most ``_PREDICT_BATCH`` windows (P - 1 rows overlap).
     """
-    return _rollout(model, np.asarray(rows, dtype=np.float64)[np.newaxis], op,
-                    horizon, predicted_channel)
+    rows = np.asarray(rows, dtype=np.float64)[np.newaxis]
+    model._check_shape(rows.shape, rows=True)
+    p = model.config.history_steps
+    return np.concatenate([
+        _rollout(model, rows[:, lo:lo + _PREDICT_BATCH + p - 1], op, horizon,
+                 predicted_channel)
+        for lo in range(0, rows.shape[1] - p + 1, _PREDICT_BATCH)])
 
 
 def _tails(h: np.ndarray, context: int, n_pos: int) -> np.ndarray:

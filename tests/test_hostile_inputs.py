@@ -7,10 +7,11 @@ return 0-7 and never raise. A fused.csv that breaks the observation rules
 exits 3, and a non-finite adjacency weight exits 5. A station graph with no
 edge exits 5 without a warning, and so does an observation too large for a
 float64 variance in ``report`` (exit 7); a station too far from the others
-for float64 distances exits 3 without one. A model larger than physical memory
-exits 2 from the config and 7 from a checkpoint, before any weight is drawn;
-a checkpoint with a non-integer size or a parameter that is not a finite
-real number exits 7; and
+for float64 distances exits 3 without one. An observation too large for
+min-max scaling to keep the other readings exits 6 from run-all and train.
+A model larger than physical memory exits 2 from the config and 7 from a
+checkpoint, before any weight is drawn; a checkpoint with a non-integer
+size or a parameter that is not a finite real number exits 7; and
 observations with a century between two rows exit 3 before the hourly
 grid is allocated. A station id that the unquoted artifacts cannot carry
 exits 3 quietly, and a target that reads one constant value everywhere is
@@ -284,6 +285,40 @@ def test_constant_target_is_reported(scenario, tmp_path, value):
     for out in ("out", "report"):
         variance = (tmp_path / out / "variance.csv").read_text().splitlines()
         assert variance[1].startswith("t01,0,") and variance[1].endswith(",nan"), variance
+
+
+def test_observation_that_min_max_scaling_erases_exits_6_quietly(scenario, tmp_path):
+    """One finite 1e300 reading of the predicted target stretches its scale
+    until every other reading rounds away: run-all and train refuse the
+    target, naming its span, before any output is written."""
+    root, paths = scenario
+    lines = paths["observations.csv"].read_text().splitlines(keepends=True)
+    fields = lines[4].rstrip("\n").split(",")
+    assert fields[2] == "t02"
+    fields[3] = "1e300"
+    lines[4] = ",".join(fields) + "\n"
+    huge = tmp_path / "observations.csv"
+    huge.write_text("".join(lines))
+    fused = tmp_path / "fused.csv"
+    assert _quiet_main(["fuse", "--stations", str(paths["stations.csv"]),
+                        "--observations", str(huge), "--out", str(fused)]) == 0
+    runs = {
+        "run-all": ["--stations", str(paths["stations.csv"]), "--observations", str(huge)],
+        "train": ["--fused", str(fused), "--adjacency", str(paths["adjacency.csv"])],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command] + args + ["--config", str(root / "run.cfg"),
+                                            "--out-dir", str(tmp_path / "out")])
+        assert code == 6, (command, err.getvalue())
+        assert [str(w.message) for w in caught] == [], command
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert "'t02'" in err.getvalue() and "e+300" in err.getvalue(), err.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fused.csv",
+                                                              "observations.csv"]
 
 
 def test_huge_observation_fails_the_report_quietly(scenario, tmp_path):

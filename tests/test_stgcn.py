@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -530,27 +531,55 @@ def test_series_rollout_over_a_split_with_dropped_windows():
 
 
 def test_predict_batch_at_zero_windows_and_the_chunk_edges():
-    # Zero windows are one empty forecast, still checked. Around the chunk
-    # size of 256, stacked windows keep predict_series' bits on the same rows:
-    # a window lost or repeated at a chunk edge would shift every later entry.
+    # Zero windows are one empty forecast, still checked. Around the block
+    # size C, both entries keep the bits of each other and, at the first step,
+    # of one uncut rollout on the same rows: a window lost or repeated at a
+    # block edge would shift every later entry.
     model = StgcnModel(tiny_config(), seed=52)
     cheb, _ = operators(3, seed=53)
     none = np.zeros((0, 6, 3, 2))
     assert predict_batch(model, none, cheb, 3, 1).shape == (0, 3, 3)
     with pytest.raises(ValidationError, match="horizon"):
         predict_batch(model, none, cheb, 0, 1)
-    assert stgcn._PREDICT_BATCH == 256
-    rows = np.random.default_rng(54).normal(size=(262, 3, 2))
-    for n in (255, 256, 257):
+    c = stgcn._PREDICT_BATCH
+    rows = np.random.default_rng(54).normal(size=(2 * c + 6, 3, 2))
+    for n in (c - 1, c, c + 1, 2 * c + 1):
         windows = np.stack([rows[j:j + 6] for j in range(n)])
         series = predict_series(model, rows[:n + 5], cheb, 3, 1)
         assert np.array_equal(predict_batch(model, windows, cheb, 3, 1), series)
+        uncut = stgcn._rollout(model, rows[np.newaxis, :n + 5], cheb, 3, 1)
+        assert np.array_equal(series[:, 0], uncut[:, 0])
+        _assert_rollout_close(series, uncut)
+
+
+def test_forecast_memory_does_not_grow_with_the_series():
+    # Ten times the windows: the working set beside the output stays put,
+    # because every rollout call sees at most _PREDICT_BATCH window positions.
+    s, p = 13, 12
+    model = StgcnModel(ModelConfig(n_nodes=s, in_channels=7, history_steps=p,
+                                   channels=(16, 8, 16)), seed=55)
+    cheb, _ = operators(s, seed=56)
+    rng = np.random.default_rng(57)
+    for entry in (predict_series, predict_batch):
+        held = []
+        for n in (400, 4000):
+            rows = rng.normal(size=(n + p - 1, s, 7))
+            windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(rows, p, axis=0),
+                                  -1, 1)                 # a view: no (N, P, S, K) copy
+            tracemalloc.start()
+            try:
+                out = entry(model, rows if entry is predict_series else windows, cheb, 3, 6)
+                held.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (n, 3, s)
+        assert max(held) <= 1.5 * min(held), (entry.__name__, held)
 
 
 def test_predict_series_validation():
     model = StgcnModel(tiny_config(), seed=50)
     cheb, _ = operators(3, seed=51)
-    for shape in ((5, 3, 2), (6, 4, 2), (6, 3, 1), (1, 6, 3, 2)):
+    for shape in ((), (6,), (5, 3, 2), (6, 4, 2), (6, 3, 1), (1, 6, 3, 2)):
         with pytest.raises(ShapeError, match="expected rows"):
             predict_series(model, np.zeros(shape), cheb, 1, 0)
     rows = np.zeros((8, 3, 2))

@@ -11,17 +11,17 @@ definite for distinct sources, so the solve is a Cholesky factorization with
 iterative refinement, applied through the factor's inverse. A panel is fused
 with one kernel block, one factorization and one multi-right-hand-side solve
 per (target, availability pattern), and every hour keeps the bits of a
-one-hour fusion. The pairwise distances and each target's resolved shape are
-computed once per (coordinates, native mask, metric, shape_c) and only the
-latest such geometry is kept, so the online path, one ``fuse_time_step`` per
-hour over the same stations, pays only for the kernel blocks and the solves.
-The cache holds the read-only distances and a tuple of shapes, about S^2 * 8
-bytes.
+one-hour fusion. The latest geometry (stations, targets, metric, shape_c)
+keeps its distances, shapes and up to 1 MiB of pattern records (kernel block
+and factor), so the online path, one ``fuse_time_step`` per hour over the
+same stations, pays for a repeated pattern only its checked solve.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -44,6 +44,9 @@ DEFAULT_RIDGE = 1e-10
 
 # Kernel-block bytes held per stacked factorization of equal-size Grams.
 _STACK_BYTES = 1 << 17
+
+# Bytes of pattern records a geometry's store keeps: some 80 at 60 stations.
+_STORE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,9 @@ def resolve_shape_c(dists: np.ndarray, config: RbfConfig) -> float:
     n = dists.shape[0]
     if n < 2:
         return 1.0
-    off = dists[~np.eye(n, dtype=bool)]
-    d_med = float(np.median(off))
+    m = n * (n - 1) // 2                  # np.median of an even count; it imports numpy.ma
+    off = np.partition(dists[~np.eye(n, dtype=bool)], (m - 1, m))
+    d_med = float((off[m - 1] + off[m]) / 2)
     if d_med <= 0.0:
         return 1.0  # coincident sources; the solve will report singularity
     return 1.0 / (2.0 * d_med * d_med)
@@ -267,23 +271,80 @@ class FusionMatrix:
             raise ValidationError("fusion matrix contains missing values")
 
 
-@functools.lru_cache(maxsize=1)
-def _geometry(coords: bytes, native: tuple[bytes, ...], distance_metric: str,
-              shape_c: float | None):
-    """Read-only pairwise distances and a tuple of one resolved shape per target.
+class _Store(OrderedDict):
+    """Pattern records, least recently used first, at most ``_STORE_BYTES`` of
+    arrays; its lock keeps concurrent fusions from breaking the order or count."""
 
-    ``native`` holds each target's native-station mask. Target k's shape is
-    ``resolve_shape_c`` on the distances between its native stations, or
-    ``shape_c`` itself when one is given. Nothing writes into the value after
-    it is built; only the latest geometry is kept, and a call that raises is
-    not kept.
-    """
-    dists = pairwise_distances(np.frombuffer(coords).reshape(-1, 2), distance_metric)
-    dists.setflags(write=False)
+    def __init__(self):
+        super().__init__()
+        self.nbytes, self.lock = 0, threading.Lock()
+
+    def take(self, key: tuple) -> tuple[np.ndarray, ...] | None:
+        with self.lock:
+            if key in self:
+                self.move_to_end(key)
+            return self.get(key)
+
+    def put(self, key: tuple, record: tuple[np.ndarray, ...]) -> None:
+        """Keep ``record`` read-only and owning its arrays; drop the oldest beyond the bound."""
+        record = tuple(a if a.flags.owndata else a.copy() for a in record)
+        for a in record:
+            a.setflags(write=False)
+        with self.lock:
+            if key not in self:                   # another thread may have put it
+                self[key] = record
+                self.nbytes += sum(a.nbytes for a in record)
+            while self.nbytes > _STORE_BYTES:
+                self.nbytes -= sum(a.nbytes for a in self.popitem(last=False)[1])
+
+
+@functools.lru_cache(maxsize=1)
+def _geometry(stations: tuple[Station, ...], target_ids: tuple[str, ...],
+              distance_metric: str, shape_c: float | None):
+    """The read-only (S, K) native mask and distances of ``stations``, one shape
+    per target (``resolve_shape_c`` on its native stations' distances, or
+    ``shape_c``) and a ``_Store``. Hashing the Stations costs a third of deriving
+    these. Only the latest geometry is kept; a call that raises is not kept."""
+    native = ObservationPanel([], list(stations), list(target_ids), None).native_mask()
+    dists = pairwise_distances(np.array([[st.x, st.y] for st in stations]), distance_metric)
+    for a in (native, dists):
+        a.setflags(write=False)
     config = RbfConfig(shape_c=shape_c)
-    nats = [np.flatnonzero(np.frombuffer(mask, dtype=bool)) for mask in native]
-    shapes = tuple(resolve_shape_c(dists[np.ix_(nat, nat)], config) for nat in nats)
-    return dists, shapes
+    shapes = tuple(resolve_shape_c(dists[np.ix_(m, m)], config) for m in native.T)
+    return native, dists, shapes, _Store()
+
+
+def _records(hours: dict[tuple, list[int]], by_target: np.ndarray, dists: np.ndarray,
+             shapes: tuple[float, ...], store: _Store, config: RbfConfig):
+    """Yield (key, record) per (target, pattern, ridge) key of ``hours``, from the
+    store or new: (sources, queries, block, L^-1), the block's first n rows the
+    n sources' ridged Gram, the rest the queries' kernel rows. New Grams are
+    factored in stacks of one n, each with its own bits. A call whose new
+    records would not all fit keeps none: it shares each factor among its hours."""
+    misses: dict[int, list] = {}                 # source count -> [(key, pattern)]
+    for key, ts in hours.items():
+        record = store.take(key)
+        if record is None:
+            available = by_target[key[0], ts[0]]
+            misses.setdefault(int(available.sum()), []).append((key, available))
+        else:
+            yield key, record
+    s = len(dists)                               # a record has S + (S + n) n items
+    keep = sum(len(same) * 8 * (s + (s + n) * n) for n, same in misses.items()) <= _STORE_BYTES
+    for n, same in misses.items():
+        step = max(1, _STACK_BYTES // (8 * n * s))
+        for lo in range(0, len(same), step):
+            batch = []
+            for (k, *_), available in same[lo:lo + step]:
+                order = np.argsort(~available, kind="stable")    # sources, then queries
+                block = gaussian_rbf(dists.take(order, axis=0).take(order[:n], axis=1),
+                                     shapes[k])
+                batch.append((order[:n], order[n:], block))
+            grams = np.stack([_add_ridge(block[:n], config) for *_, block in batch])
+            for (key, _), record, inverse in zip(same[lo:lo + step], batch, _factor(grams)):
+                if keep:
+                    store.put(key, (*record, inverse))
+                yield key, (*record, inverse)
 
 
 def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
@@ -294,8 +355,9 @@ def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
     This is ``fuse_panel`` on a one-hour panel, so the kernel shape for
     target k comes from the geometry of all of k's native stations and does
     not drift when some of them drop out for an hour. Its distances and
-    shapes are computed once per station set and config, not per call.
-    Raises FusionError when no station has a reading of some target.
+    shapes are computed once per station set and config, and each pattern's
+    factor once while the store keeps it. Raises FusionError when no station
+    has a reading of some target.
     """
     panel_slice = np.asarray(panel_slice, dtype=np.float64)
     n_stations, n_targets = len(stations), len(target_ids)
@@ -310,21 +372,17 @@ def fuse_time_step(panel_slice: np.ndarray, stations: list[Station],
 def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> FusionMatrix:
     """Fuse every time step of a panel into a dense matrix with provenance.
 
-    Hours are grouped by (target, availability pattern); each group gets one
-    kernel block, one Cholesky factor and one multi-right-hand-side solve, and
-    each hour's values equal ``fuse_time_step`` on that hour, bit for bit.
-    The pairwise distances and each target's shape come from the geometry
-    cache of the latest station set; a group's Gram and query rows are one
-    Gaussian evaluation of the distances from its sources and queries to its
-    sources. Raises FusionError for the earliest (hour, target) with no source.
+    Hours are grouped by (target, availability pattern, ridge); each group gets
+    one record from ``_records``, the geometry's store or one Gaussian block and
+    one Cholesky factor, and one multi-right-hand-side solve. Each hour's values
+    equal ``fuse_time_step`` on that hour, bit for bit, whatever the store held.
+    Raises FusionError for the earliest (hour, target) with no source.
     """
     config = config or RbfConfig()
     config.validate()
     panel.validate()
-    coords = np.array([[st.x, st.y] for st in panel.stations], dtype=np.float64)
-    native = panel.native_mask()
-    dists, shapes = _geometry(coords.tobytes(), tuple(m.tobytes() for m in native.T),
-                              config.distance_metric, config.shape_c)
+    native, dists, shapes, store = _geometry(tuple(panel.stations), tuple(panel.target_ids),
+                                             config.distance_metric, config.shape_c)
     raw_mask = native & ~np.isnan(panel.values)
     no_source = ~raw_mask.any(axis=1)
     if no_source.any():
@@ -336,25 +394,14 @@ def fuse_panel(panel: ObservationPanel, config: RbfConfig | None = None) -> Fusi
     values = panel.values.copy()
     by_target = np.ascontiguousarray(raw_mask.transpose(2, 0, 1))
     needs_fill = ~by_target.all(axis=2)
-    hours: dict[tuple, list[int]] = {}           # (target, pattern) -> hours
+    hours: dict[tuple, list[int]] = {}           # (target, pattern, ridge) -> hours
     for k, t in zip(*np.nonzero(needs_fill)):
-        hours.setdefault((k, by_target[k, t].tobytes()), []).append(t)
-    groups: dict[int, list] = {}                 # source count -> [(target, hours)]
-    for (k, _), ts in hours.items():
-        groups.setdefault(int(by_target[k, ts[0]].sum()), []).append((k, ts))
-    for n, same in groups.items():
-        step = max(1, _STACK_BYTES // (8 * n * len(panel.stations)))
-        for lo in range(0, len(same), step):
-            batch = []
-            for k, ts in same[lo:lo + step]:
-                available = by_target[k, ts[0]]
-                src, query = np.flatnonzero(available), np.flatnonzero(~available)
-                block = gaussian_rbf(dists[np.ix_(np.concatenate([src, query]), src)], shapes[k])
-                batch.append((k, np.array(ts)[:, np.newaxis], src, query, block))
-            grams = np.stack([_add_ridge(block[:n], config) for *_, block in batch])
-            for (k, rows, src, query, block), a, inverse in zip(batch, grams, _factor(grams)):
-                w = _solve_refined(inverse, a, values[rows, src, k])
-                values[rows, query, k] = _matvecs(block[n:], w)
+        hours.setdefault((int(k), by_target[k, t].tobytes(), config.ridge), []).append(t)
+    records = _records(hours, by_target, dists, shapes, store, config)
+    for key, (src, query, block, inverse) in records:
+        rows, n = np.array(hours[key])[:, np.newaxis], len(src)
+        w = _solve_refined(inverse, block[:n], values[rows, src, key[0]])
+        values[rows, query, key[0]] = _matvecs(block[n:], w)
 
     fused = FusionMatrix(
         timestamps=list(panel.timestamps),

@@ -197,10 +197,12 @@ def last_occurrences(keys: np.ndarray) -> np.ndarray:
 
     Numpy does not promise which of several writes to one index a
     fancy-index assignment keeps, so a reader whose later row wins scatters
-    only these rows.
+    only these rows: a stable sort's last of each run (np.unique imports numpy.ma).
     """
-    _, from_end = np.unique(keys[::-1], return_index=True)
-    return keys.size - 1 - from_end
+    order = np.argsort(keys, kind="stable")
+    last = np.ones(keys.size, dtype=bool)
+    last[:-1] = keys[order[1:]] != keys[order[:-1]]
+    return order[last]
 
 
 def _stamp(ts: datetime) -> str:
@@ -284,7 +286,8 @@ class LongFormat:
         if not vals:
             raise ValidationError(f"{path} contains no observations (no data rows)")
 
-        seen = np.unique(np.fromiter(hours.values(), dtype=np.int64))
+        # Two texts can name one hour; the repeat's difference is -1, no gap.
+        seen = np.sort(np.fromiter(hours.values(), dtype=np.int64))
         h0, n_hours = int(seen[0]), int(seen[-1] - seen[0]) + 1
         limit = 0 if dense else max_gap_hours
         empty = np.diff(seen) - 1

@@ -212,9 +212,9 @@ class GraphConv:
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
         return tz.graph_conv(x, basis, self.kernel)
 
-    def values(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    def values(self, x: np.ndarray, operands: tuple[np.ndarray, ...]) -> np.ndarray:
         """``forward``'s values on a plain array, recording nothing."""
-        return tz.graph_conv_values(x, basis, self.kernel.data)
+        return tz.graph_conv_values(x, *operands)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"kernel": self.kernel}
@@ -232,9 +232,10 @@ class STConvBlock:
     def stages(self, basis: np.ndarray) -> list:
         """This block's layers in order; see ``StgcnModel.stages``."""
         t_in, graph, t_out = self.temporal_in, self.graph, self.temporal_out
+        operands = tz.graph_conv_operands(basis, graph.kernel.data)
         return [(t_in.f - 1, t_in.forward, t_in.values),
                 (0, lambda h: tz.relu(graph.forward(h, basis)),
-                 lambda h: tz.relu_values(graph.values(h, basis))),
+                 lambda h: tz.relu_values(graph.values(h, operands))),
                 (t_out.f - 1, t_out.forward, t_out.values)]
 
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:

@@ -312,12 +312,20 @@ def gated_conv1d_time(x, kernel, bias_lin, bias_gate) -> Tensor:
     return _make_output(lin * gate, (x, kernel, bias_lin, bias_gate), backward_fn)
 
 
-def graph_conv_values(x: np.ndarray, basis: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``graph_conv`` on plain arrays, unchecked: (B, S, T, C_out)."""
-    r, c_in, c_out = kernel.shape
-    w = kernel.transpose(1, 0, 2).reshape(c_in, r * c_out)
-    xw = (x @ w).reshape(x.shape[:-1] + (r, c_out))             # (B, S, T, R, C_out)
-    return np.moveaxis(np.tensordot(basis, xw, axes=([0, 2], [3, 1])), 0, 1)
+def graph_conv_operands(basis: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(R, S, S) ``basis`` and (R, C_in, C_out) ``kernel`` as (S, R S) and (C_in, R C_out)."""
+    return tuple(a.transpose(1, 0, 2).reshape(a.shape[1], -1) for a in (basis, kernel))
+
+
+def graph_conv_values(x: np.ndarray, basis_mat: np.ndarray,
+                      kernel_mat: np.ndarray) -> np.ndarray:
+    """``graph_conv`` on plain arrays and ``graph_conv_operands``, unchecked: (B, S, T,
+    C_out). The node mixing is the GEMM ``np.tensordot`` runs, on its operands."""
+    b, s, t, _ = x.shape
+    r = basis_mat.shape[1] // s
+    shape = (b, s, t, r, kernel_mat.shape[1] // r)
+    xw = (x @ kernel_mat).reshape(shape).transpose(3, 1, 0, 2, 4).reshape(r * s, -1)
+    return np.dot(basis_mat, xw).reshape(s, b, t, shape[-1]).swapaxes(0, 1)
 
 
 def graph_conv(x, basis, kernel) -> Tensor:
@@ -326,8 +334,8 @@ def graph_conv(x, basis, kernel) -> Tensor:
     ``x``: (B, S, T, C_in), ``basis``: a constant (R, S, S) stack of node
     operators (no gradient flows into it), ``kernel``: (R, C_in, C_out) ->
     (B, S, T, C_out). The kernel is applied first, as one (C_in, R C_out)
-    matmul, so no R filtered copies of ``x`` are held; one contraction over
-    (R, S) then mixes the nodes. The backward reverses both steps.
+    matmul, so no R filtered copies of ``x`` are held; one (S, R S) GEMM then
+    mixes the nodes. The backward reverses both steps.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     basis = np.asarray(basis, dtype=np.float64)
@@ -336,22 +344,23 @@ def graph_conv(x, basis, kernel) -> Tensor:
     r, c_in, c_out = kernel.shape
     if x.ndim != 4 or x.shape[-1] != c_in:
         raise ShapeError(f"graph_conv: input {x.shape} does not match kernel {kernel.shape}")
-    s = x.shape[1]
+    b, s, t, _ = x.shape
     if basis.shape != (r, s, s):
         raise ShapeError(
             f"graph_conv: basis {basis.shape} is not ({r}, {s}, {s}) for input "
             f"{x.shape} and kernel {kernel.shape}")
 
-    def backward_fn(g):
-        gxw = np.tensordot(basis, g, axes=([1], [1]))            # (R, S, B, T, C_out)
-        gxw = gxw.transpose(2, 1, 3, 0, 4).reshape(-1, r * c_out)
+    basis_mat, w = graph_conv_operands(basis, kernel.data)
+
+    def backward_fn(g):                                          # np.tensordot's GEMM
+        gxw = np.dot(basis.transpose(0, 2, 1).reshape(r * s, s),
+                     np.swapaxes(g, 0, 1).reshape(s, -1))
+        gxw = gxw.reshape(r, s, b, t, c_out).transpose(2, 1, 3, 0, 4).reshape(-1, r * c_out)
         gk = x.data.reshape(-1, c_in).T @ gxw
-        w = kernel.data.transpose(1, 0, 2).reshape(c_in, r * c_out)
         return ((gxw @ w.T).reshape(x.shape),
                 gk.reshape(c_in, r, c_out).transpose(1, 0, 2))
 
-    return _make_output(graph_conv_values(x.data, basis, kernel.data), (x, kernel),
-                        backward_fn)
+    return _make_output(graph_conv_values(x.data, basis_mat, w), (x, kernel), backward_fn)
 
 
 def dropout(x, rate: float, training: bool, rng) -> Tensor:

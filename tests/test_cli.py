@@ -416,6 +416,28 @@ def test_first_order_mode_runs_end_to_end(pipeline, tmp_path):
     assert len((tmp_path / "forecast.csv").read_text().splitlines()) == 1 + 2 * 6
 
 
+def test_ingest_fusion_and_report_load_no_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma on first use, which costs each
+    # command about 10 ms and 1.2 MiB of resident memory.
+    assert main(["synth", "--out-dir", str(tmp_path), "--stations", "4,3,3",
+                 "--targets", "2,1,1", "--hours", "30", "--gap-rate", "0.05"]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from geofuse.fusion import fuse_panel\n"
+            "from geofuse.ingest import load_observations, load_stations\n"
+            "from geofuse.metrics import consistency_report\n"
+            f"stations = load_stations({str(tmp_path / 'stations.csv')!r})\n"
+            f"raw = load_observations({str(tmp_path / 'observations.csv')!r}, stations)\n"
+            "fused = fuse_panel(raw)\n"
+            "consistency_report(raw.values, fused.values, raw.target_ids)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
+
+
 def test_importing_the_cli_loads_no_scipy():
     # numpy is the only runtime dependency; importing scipy.linalg alone
     # would add about 27 MiB to every command's resident memory.

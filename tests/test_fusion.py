@@ -4,6 +4,8 @@ The 2x2 weight solution and midpoint value below were computed once by hand
 (Cramer's rule / direct kernel evaluation) and are frozen as constants.
 """
 
+import sys
+import threading
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -165,7 +167,8 @@ def test_geometry_is_one_distance_matrix_and_one_shape_per_target(monkeypatch):
     # warm one computes neither. The ridge alone does not rebuild it; the
     # coordinates, the native mask, the metric and shape_c do. Each (target,
     # availability pattern) evaluates one Gaussian block from the distances of
-    # all S stations to its sources; a target with nothing to fill evaluates none.
+    # all S stations to its sources, unless the geometry's store holds that
+    # pattern; a target with nothing to fill evaluates none.
     calls = []
     for name in ("pairwise_distances", "resolve_shape_c", "gaussian_rbf"):
         def counted(*args, _fn=getattr(gf, name), _name=name):
@@ -189,7 +192,7 @@ def test_geometry_is_one_distance_matrix_and_one_shape_per_target(monkeypatch):
     assert blocks == [(4, 1), (4, 2), (4, 2), (4, 2), (4, 3)]
     calls.clear()
     fuse_time_step(panel.values[1], panel.stations, panel.target_ids)
-    assert [n for n, _ in calls] == ["gaussian_rbf"] * 2
+    assert calls == []                  # both of hour 1's patterns are in the store
     assert built() == [0, 0]
     assert built(config=RbfConfig(ridge=0.0)) == [0, 0]
     assert built(config=RbfConfig(ridge=1e-3)) == [0, 0]
@@ -223,6 +226,15 @@ def test_warm_geometry_fuses_the_bits_of_a_cold_one(config):
         assert np.array_equal(fuse_time_step(*step), cold), t
 
 
+def _geometry_of(panel, config=RbfConfig()):
+    return gf._geometry(tuple(panel.stations), tuple(panel.target_ids),
+                        config.distance_metric, config.shape_c)
+
+
+def _store(panel, config=RbfConfig()):
+    return _geometry_of(panel, config)[3]
+
+
 def test_geometry_cache_is_bounded_and_read_only():
     gf._geometry.cache_clear()
     panel = _toy_panel()
@@ -230,16 +242,15 @@ def test_geometry_cache_is_bounded_and_read_only():
     for i in range(bound + 3):
         fuse_panel(panel, RbfConfig(shape_c=1.0 + i))
         assert gf._geometry.cache_info().currsize == min(i + 1, bound)
-    coords = np.array([[st.x, st.y] for st in panel.stations]).tobytes()
-    native = tuple(m.tobytes() for m in panel.native_mask().T)
-    d = pairwise_distances(np.frombuffer(coords).reshape(-1, 2))
+    d = pairwise_distances(np.array([[st.x, st.y] for st in panel.stations]))
     auto = tuple(resolve_shape_c(d[np.ix_(nat, nat)], RbfConfig())
                  for nat in ([0, 1, 3], [1, 2]))
     for config, want in ((RbfConfig(), auto), (RbfConfig(shape_c=2.0), (2.0, 2.0))):
         fuse_panel(panel, config)
         hits = gf._geometry.cache_info().hits
-        dists, shapes = gf._geometry(coords, native, config.distance_metric, config.shape_c)
+        native, dists, shapes, _ = _geometry_of(panel, config)
         assert gf._geometry.cache_info().hits == hits + 1
+        assert np.array_equal(native, panel.native_mask()) and not native.flags.writeable
         assert np.array_equal(dists, d) and not dists.flags.writeable
         assert type(shapes) is tuple and shapes == want
         assert all(type(c) is float for c in shapes)
@@ -250,6 +261,113 @@ def test_geometry_cache_is_bounded_and_read_only():
         fuse_panel(ObservationPanel(panel.timestamps, broken, panel.target_ids,
                                     panel.values))
     assert gf._geometry.cache_info().currsize == 0
+
+
+def _sixty_station_panel(hours=48):
+    return generate(SynthConfig(seed=6, hours=hours, gap_rate=0.02,
+                                stations_per_source=(20, 20, 20),
+                                targets_per_source=(2, 3, 2))).panel
+
+
+def test_store_serves_one_hour_fusion_with_the_bits_of_a_cold_one(monkeypatch):
+    # Hour after hour over one geometry, as the online path runs, repeated
+    # patterns come from the store; each row equals a cold fusion of its hour.
+    panel = _sixty_station_panel()
+    factored = []
+    factor = gf._factor
+    monkeypatch.setattr(gf, "_factor", lambda a: factored.append(len(a)) or factor(a))
+    gf._geometry.cache_clear()
+    steps = [(panel.values[t], panel.stations, panel.target_ids) for t in range(48)]
+    warm = [fuse_time_step(*step) for step in steps]
+    patterns = {(k, (~np.isnan(panel.values[t, :, k]) & panel.native_mask()[:, k]).tobytes())
+                for t in range(48) for k in range(7)}
+    assert len(patterns) <= sum(factored) < 48 * 7     # every hour fills all 7 targets
+    for t, step in enumerate(steps):
+        gf._geometry.cache_clear()
+        assert np.array_equal(fuse_time_step(*step), warm[t]), t
+
+
+def test_store_skips_the_factor_but_not_the_solve_of_a_repeated_pattern(monkeypatch):
+    calls = Counter()
+    for name in ("_factor", "_solve_refined"):
+        def counted(*args, _fn=getattr(gf, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(gf, name, counted)
+    gf._geometry.cache_clear()
+    panel = _toy_panel(missing={(1, "a", "t1")})
+
+    def fused(t, config=RbfConfig()):
+        calls.clear()
+        fuse_time_step(panel.values[t], panel.stations, panel.target_ids, config)
+        return calls["_factor"], calls["_solve_refined"]
+
+    # Hour 0: t1 from a, b, d and t2 from b, c, two source counts, so two
+    # stacks. Hour 1: t1 from b, d is new, t2's pattern repeats.
+    assert fused(0) == (2, 2)
+    assert fused(0) == (0, 2)
+    assert fused(1) == (1, 2)
+    # The ridge is part of the key: ridge 0 never takes the default's record.
+    assert fused(0, RbfConfig(ridge=0.0)) == (2, 2)
+    assert fused(0, RbfConfig(ridge=0.0)) == (0, 2)
+    assert sorted(key[2] is None for key in _store(panel)) == [False] * 2 + [True] * 3
+
+
+def test_store_is_bounded_read_only_and_dropped_with_its_geometry(monkeypatch):
+    panel = _sixty_station_panel()
+    bound = 100_000                                   # about 7 records of 60 stations
+    monkeypatch.setattr(gf, "_STORE_BYTES", bound)
+    gf._geometry.cache_clear()
+    for t in range(48):
+        fuse_time_step(panel.values[t], panel.stations, panel.target_ids)
+        store = _store(panel)
+        arrays = [a for record in store.values() for a in record]
+        assert store.nbytes == sum(a.nbytes for a in arrays) <= bound
+        assert not any(a.flags.writeable or not a.flags.owndata for a in arrays)
+    assert len(store) > 0
+    # A call whose new records would not all fit keeps none of them.
+    gf._geometry.cache_clear()
+    fuse_panel(panel)
+    assert len(_store(panel)) == 0
+    # A new geometry drops the store; coming back builds an empty one.
+    fuse_time_step(panel.values[0], panel.stations, panel.target_ids)
+    assert len(_store(panel)) > 0
+    fuse_panel(panel, RbfConfig(shape_c=2.0))
+    assert len(_store(panel)) == 0
+
+
+def test_store_keeps_its_count_under_concurrent_fusions(monkeypatch):
+    # Threads fuse the same hours in different orders on one geometry, with a
+    # store of about 7 records, so takes, puts and evictions interleave.
+    panel = _sixty_station_panel(hours=24)
+    steps = [(panel.values[t], panel.stations, panel.target_ids) for t in range(24)]
+    gf._geometry.cache_clear()
+    cold = [fuse_time_step(*step) for step in steps]
+    monkeypatch.setattr(gf, "_STORE_BYTES", 100_000)
+    gf._geometry.cache_clear()
+    results, errors = {}, []
+
+    def worker(w):
+        try:
+            for t in np.random.default_rng(w).permutation(24):
+                results[w, t] = fuse_time_step(*steps[t])
+        except Exception as exc:            # reported below, with the thread's hour
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads) and errors == []
+    assert all(np.array_equal(results[w, t], cold[t]) for w in range(4) for t in range(24))
+    store = _store(panel)
+    assert store.nbytes == sum(a.nbytes for record in store.values() for a in record) <= 100_000
 
 
 def test_shape_c_auto_resolution():
@@ -360,8 +478,10 @@ def test_fuse_panel_rows_equal_one_hour_fusion_at_sixty_stations(monkeypatch):
         fused = fuse_panel(panel, config)
         with monkeypatch.context() as m:
             m.setattr(gf, "_STACK_BYTES", 3 * 8 * 20 * 60)  # 3 blocks of 20 sources per call
+            gf._geometry.cache_clear()                    # no record from the store
             assert np.array_equal(fuse_panel(panel, config).values, fused.values)
         for t in range(panel.values.shape[0]):
+            gf._geometry.cache_clear()
             step = fuse_time_step(panel.values[t], panel.stations, panel.target_ids,
                                   config)
             assert np.array_equal(fused.values[t], step), (metric, t)

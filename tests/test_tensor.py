@@ -283,6 +283,47 @@ def test_graph_conv_grads(mode, order):
         lambda: projected(gt.graph_conv(x, basis, k), np.random.default_rng(22)), [x, k])
 
 
+def _tensordot_graph_conv(x, basis, kernel):
+    """The graph conv and its gradients as ``np.tensordot`` contractions: the
+    reference for the GEMMs in ``geofuse.tensor``."""
+    r, c_in, c_out = kernel.shape
+    w = kernel.transpose(1, 0, 2).reshape(c_in, r * c_out)
+    xw = (x @ w).reshape(x.shape[:-1] + (r, c_out))
+    out = np.moveaxis(np.tensordot(basis, xw, axes=([0, 2], [3, 1])), 0, 1)
+
+    def grads(g):
+        gxw = np.tensordot(basis, g, axes=([1], [1]))
+        gxw = gxw.transpose(2, 1, 3, 0, 4).reshape(-1, r * c_out)
+        gk = x.reshape(-1, c_in).T @ gxw
+        return (gxw @ w.T).reshape(x.shape), gk.reshape(c_in, r, c_out).transpose(1, 0, 2)
+
+    return out, grads
+
+
+@pytest.mark.parametrize("mode,order", [
+    ("chebyshev", 1), ("chebyshev", 2), ("chebyshev", 3), ("first_order", 1)])
+@pytest.mark.parametrize("batch,steps", [(1, 1), (1, 4), (3, 1), (3, 4)])
+def test_graph_conv_has_the_bits_of_tensordot(mode, order, batch, steps):
+    from geofuse.stgcn import GraphConv
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((7, 7)) * 0.5
+    basis = GraphConv.basis(m, mode, order)
+    x = rng.standard_normal((batch, 7, steps, 5))
+    kernel = rng.standard_normal((order, 5, 3))
+    g = rng.standard_normal((batch, 7, steps, 3))
+    want, grads = _tensordot_graph_conv(x, basis, kernel)
+    got = gt.graph_conv_values(x, *gt.graph_conv_operands(basis, kernel))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    xt, kt = gt.Tensor(x, requires_grad=True), gt.Tensor(kernel, requires_grad=True)
+    with gt.Tape():
+        out = gt.graph_conv(xt, basis, kt)
+        loss = gt.reduce_sum(gt.multiply_elementwise(out, g))
+    gt.backward(loss)                           # graph_conv's output gradient is g itself
+    assert np.array_equal(out.data, want)
+    for got, want in zip((xt.grad, kt.grad), grads(g)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_dropout_grads_with_fixed_seed():
     rng = np.random.default_rng(40)
     x = gt.Tensor(rng.standard_normal((4, 6)), requires_grad=True)

@@ -31,15 +31,16 @@ last value. One function, ``_rollout``, checks and rolls out every forecast:
 ``predict_series`` runs it over a contiguous run of windows, ``predict_batch``
 over stacked windows (T = P), ``predict`` over one, at most ``_PREDICT_BATCH``
 window positions per call, so a forecast's arrays do not grow with the series.
-It runs the layers' arithmetic on plain arrays and records nothing; its first
-step is the same forward, bit for bit. Later steps stream: each step shifts
-every window by one column, so every layer has one new output column. Each
-gated temporal conv keeps its window's last f_t - 1 input columns and the head
-its last head_time_steps - 1 (nothing for the graph conv, ReLU and fc),
-gathered from the first forward's activations; a later step runs each layer on
-those plus the new column. The matmuls then run over other row counts, so BLAS
-may sum in another order, and later steps can differ from a full forward on the
-shifted window in the last bits.
+It runs the layers' arithmetic on plain arrays and records nothing, with the
+graph convs' matrices built once per call; its first step is the same forward,
+bit for bit. Later steps stream: each step shifts every window by one column,
+so every layer has one new output column. Each gated temporal conv keeps its
+window's last f_t - 1 input columns and the head its last head_time_steps - 1
+(nothing for the graph conv, ReLU and fc), gathered from the first forward's
+activations; a later step runs each layer on those plus the new column. The
+matmuls then run over other row counts, so BLAS may sum in another order, and
+later steps can differ from a full forward on the shifted window in the last
+bits.
 """
 
 from __future__ import annotations

@@ -219,18 +219,19 @@ def _train_meta(fused: FusionMatrix, config: PipelineConfig,
 def _restore_context(fused: FusionMatrix, meta: dict):
     """Pull windowing and scaling context back out of a checkpoint."""
     try:
+        target_ids, station_ids = list(meta["target_ids"]), list(meta["station_ids"])
         norm = NormalizationParams(
-            list(meta["target_ids"]),
+            target_ids,
             np.asarray(meta["normalization"]["mins"], dtype=np.float64),
             np.asarray(meta["normalization"]["maxs"], dtype=np.float64))
         predicted = meta["predicted_target"]
         horizon = int(meta["horizon_steps"])
         split = tuple(meta["split"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"checkpoint metadata incomplete: {exc}")
-    if list(meta["target_ids"]) != fused.target_ids:
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"checkpoint metadata incomplete or malformed: {exc}")
+    if target_ids != fused.target_ids:
         raise ValidationError("checkpoint targets do not match the fused panel")
-    if list(meta["station_ids"]) != fused.station_ids:
+    if station_ids != fused.station_ids:
         raise ValidationError("checkpoint stations do not match the fused panel")
     return norm, predicted, horizon, split
 
@@ -255,8 +256,8 @@ def _evaluate(model: StgcnModel, dataset, op, norm: NormalizationParams) -> list
             raise ValidationError("test split is empty; nothing to evaluate")
         predicted = dataset.predicted_target
         k = dataset.target_ids.index(predicted)
-        pred_norm = np.concatenate([predict_series(model, rows, op, dataset.horizon_steps, k)
-                                    for rows in dataset.series("test")])
+        pred_norm = predict_series(model, dataset.series("test"), op,
+                                   dataset.horizon_steps, k)
         pred = invert_normalization(pred_norm, norm, predicted)
         truth = invert_normalization(test_y[..., 0], norm, predicted)
         return _metric_rows(truth, pred)

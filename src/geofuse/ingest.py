@@ -9,7 +9,8 @@ through ``csv_rows``, which maps read errors to ParseError. Observations land
 in a dense (time, station, target) panel on the hourly grid; NaN marks
 missing. Cleaning fills short interior gaps by linear interpolation,
 normalization is min-max fitted on the training rows only, and windowing
-cuts stride-1 history/horizon pairs with a chronological split.
+cuts stride-1 history/horizon pairs from a complete (fused) panel with a
+chronological split.
 """
 
 from __future__ import annotations
@@ -361,8 +362,8 @@ def clean_panel(panel: ObservationPanel, max_gap_hours: int) -> ObservationPanel
     A missing hour t between readings at hours p and n of its series is
     filled when the gap, n - p - 1 hours, is at most ``max_gap_hours``, with
     np.interp's arithmetic (v_n - v_p) / (n - p) * (t - p) + v_p. Gaps longer
-    than that and gaps at either end of the series stay missing; downstream
-    windowing drops them. Idempotent.
+    than that and gaps at either end of the series stay missing; fusion
+    fills them. Idempotent.
     """
     if max_gap_hours < 0:
         raise ConfigError(f"max_gap_hours must be >= 0, got {max_gap_hours}")
@@ -436,13 +437,12 @@ def invert_normalization(values: np.ndarray, params: NormalizationParams,
 class WindowedDataset:
     """Stride-1 supervised windows with a chronological train/val/test split.
 
-    ``inputs`` is a read-only view of ``rows`` unless windows were dropped.
+    Window i starts at row i, and ``inputs`` is a read-only view of ``rows``.
     """
 
     rows: np.ndarray         # (T, S, K), read-only: the rows the windows were cut from
     inputs: np.ndarray       # (N, P, S, K)
     targets: np.ndarray      # (N, Q, S, 1), the predicted target only
-    starts: np.ndarray       # (N,) row index of each window's first input step
     history_steps: int
     horizon_steps: int
     predicted_target: str
@@ -459,17 +459,11 @@ class WindowedDataset:
         lo, hi = self.bounds(name)
         return self.inputs[lo:hi], self.targets[lo:hi]
 
-    def series(self, name: str) -> list[np.ndarray]:
-        """The split's windows as row blocks, one per run of consecutive starts.
-
-        A run of windows starting at rows a, a + 1, ..., b covers rows
-        [a, b + P), whose stride-1 windows are exactly the run's; the blocks
-        come in ``part``'s window order.
-        """
+    def series(self, name: str) -> np.ndarray:
+        """The split's rows: windows lo, ..., hi - 1 cover rows [lo, hi + P - 1),
+        whose stride-1 windows are ``part``'s, in its order."""
         lo, hi = self.bounds(name)
-        starts = self.starts[lo:hi]
-        runs = np.split(starts, np.flatnonzero(np.diff(starts) != 1) + 1) if hi > lo else []
-        return [self.rows[run[0]:run[-1] + self.history_steps] for run in runs]
+        return self.rows[lo:hi + self.history_steps - 1]
 
     def bounds(self, name: str) -> tuple[int, int]:
         if name == "train":
@@ -493,11 +487,10 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
     """Cut (history, horizon) windows at stride 1 and split chronologically.
 
     A window starting at row i uses rows [i, i+P) as input and the predicted
-    target at rows [i+P, i+P+Q) as supervision. Windows touching any missing
-    cell are dropped. With T rows there are T - P - Q + 1 candidate windows.
-    The dataset keeps a read-only copy of ``values`` as ``rows``, and its
-    inputs are a view of them; only when windows were dropped are the kept
-    ones copied.
+    target at rows [i+P, i+P+Q) as supervision; with T rows there are
+    T - P - Q + 1 windows. ``values`` must be complete, as a fused panel is:
+    a missing cell is a ValidationError. The dataset keeps a read-only copy
+    of ``values`` as ``rows``, and its inputs are a view of them.
     """
     p, q = history_steps, horizon_steps
     if p < 1 or q < 1:
@@ -512,29 +505,21 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
 
     rows = np.array(values, dtype=np.float64)
     rows.flags.writeable = False
+    missing = np.isnan(rows).any(axis=(1, 2))
+    if missing.any():
+        raise ValidationError(f"row {missing.argmax()} has a missing cell; "
+                              "windows are cut from a complete panel")
     n = t_total - p - q + 1
     inputs = np.moveaxis(sliding_window_view(rows, p, axis=0), -1, 1)[:n]   # (N, P, S, K)
-    k_pred = target_ids.index(predicted_target)
-    horizon = sliding_window_view(rows[:, :, k_pred], q, axis=0)
+    horizon = sliding_window_view(rows[:, :, target_ids.index(predicted_target)], q, axis=0)
     targets = np.moveaxis(horizon, -1, 1)[p:p + n][..., np.newaxis]  # (N, Q, S, 1)
-    starts = np.arange(n)
 
-    missing = np.isnan(rows)
-    keep = ~(sliding_window_view(missing.any(axis=(1, 2)), p)[:n].any(axis=1)
-             | sliding_window_view(missing[:, :, k_pred].any(axis=1), q)[p:p + n].any(axis=1))
-    if not keep.all():
-        inputs, targets, starts = inputs[keep], targets[keep], starts[keep]
-    n_kept = inputs.shape[0]
-    if n_kept == 0:
-        raise ValidationError("every candidate window touches a missing cell")
-
-    n_train = round(split[0] * n_kept)
-    n_val = round((split[0] + split[1]) * n_kept) - n_train
+    n_train = round(split[0] * n)
+    n_val = round((split[0] + split[1]) * n) - n_train
     return WindowedDataset(
         rows=rows,
         inputs=inputs,
         targets=np.array(targets),
-        starts=starts,
         history_steps=p,
         horizon_steps=q,
         predicted_target=predicted_target,

@@ -59,24 +59,27 @@ def write_adjacency_csv(matrix: np.ndarray, station_ids: list[str], path) -> Non
 
 
 def read_adjacency_csv(path) -> tuple[list[str], np.ndarray]:
-    rows = [fields for _, fields in csv_rows(path)]
-    if not rows or rows[0][:1] != ["station_id"]:
+    """The S x S matrix under a station_id header; blank rows are skipped."""
+    lines = csv_rows(path)
+    _, header = next(lines, (1, []))
+    if header[:1] != ["station_id"]:
         raise ParseError(f"{path}: expected station_id header", line=1)
-    ids = rows[0][1:]
+    ids = header[1:]
     n = len(ids)
-    if len(rows) - 1 != n:
-        raise ParseError(f"{path}: expected {n} rows, got {len(rows) - 1}")
+    rows = [(line, fields) for line, fields in lines if fields]
+    if len(rows) != n:
+        raise ParseError(f"{path}: expected {n} rows, got {len(rows)}")
     matrix = np.empty((n, n))
-    for i, row in enumerate(rows[1:], start=2):
+    for i, (line, row) in enumerate(rows):
         if len(row) != n + 1:
-            raise ParseError(f"expected {n + 1} fields, got {len(row)}", line=i)
-        if row[0] != ids[i - 2]:
+            raise ParseError(f"expected {n + 1} fields, got {len(row)}", line=line)
+        if row[0] != ids[i]:
             raise ParseError(
-                f"row label {row[0]!r} does not match header order", line=i)
+                f"row label {row[0]!r} does not match header order", line=line)
         try:
-            matrix[i - 2] = [float(v) for v in row[1:]]
+            matrix[i] = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise ParseError(f"bad weight: {exc}", line=i)
+            raise ParseError(f"bad weight: {exc}", line=line)
     return ids, matrix
 
 

@@ -88,8 +88,7 @@ def silverman_bandwidth(values) -> float:
     return 1.06 * std * v.size ** (-0.2)
 
 
-def kde(values, grid=None, bandwidth: float | None = None,
-        grid_size: int = KDE_GRID_SIZE) -> tuple[np.ndarray, np.ndarray]:
+def kde(values, grid=None, bandwidth: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density estimate.
 
     Returns (grid, density). With no explicit grid, one spanning the data
@@ -115,7 +114,7 @@ def kde(values, grid=None, bandwidth: float | None = None,
     # other overflow leaves a grid point or density that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         if grid is None:
-            grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, grid_size)
+            grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, KDE_GRID_SIZE)
         grid = np.asarray(grid, dtype=np.float64)
         centres, weights = _linear_bins(v, h / KDE_BIN_FRACTION)
         sums = np.empty(grid.shape)
@@ -175,8 +174,8 @@ def _cross_station(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.where(counts >= 2, squares / safe, np.nan))
 
 
-def consistency_report(raw: np.ndarray, fused: np.ndarray, target_ids: list[str],
-                       grid_size: int = KDE_GRID_SIZE) -> dict[str, TargetConsistency]:
+def consistency_report(raw: np.ndarray, fused: np.ndarray,
+                       target_ids: list[str]) -> dict[str, TargetConsistency]:
     """Variance, KDE and mean-trajectory comparisons per target, in target order.
 
     Raw statistics use only observed cells; fused statistics use every cell.
@@ -210,7 +209,7 @@ def consistency_report(raw: np.ndarray, fused: np.ndarray, target_ids: list[str]
         h_raw, h_fused = h_raw or h_fused or 1.0, h_fused or h_raw or 1.0
         pad = 3.0 * max(h_raw, h_fused)
         grid = np.linspace(min(raw_vals.min(), fused_vals.min()) - pad,
-                           max(raw_vals.max(), fused_vals.max()) + pad, grid_size)
+                           max(raw_vals.max(), fused_vals.max()) + pad, KDE_GRID_SIZE)
         raw_mean, raw_traj = _cross_station(raw_k)
         report[tid] = TargetConsistency(
             raw_var, fused_var, fused_var / raw_var if raw_var > 0 else float("nan"),

@@ -427,42 +427,33 @@ def _keep_freed_pages() -> None:
 _BLOCK = 16
 
 
-def _minibatches(runs: list[np.ndarray], targets: np.ndarray, history_steps: int,
+def _minibatches(rows: np.ndarray, targets: np.ndarray, history_steps: int,
                  batch_size: int, rng: np.random.Generator):
     """One epoch of minibatches, each a stack of blocks of consecutive windows.
 
-    ``runs`` are a split's row blocks (``WindowedDataset.series``) and
-    ``targets`` its windows' (N, S, 1) targets in ``part`` order. With
+    ``rows`` are a split's rows (``WindowedDataset.series``) and ``targets``
+    its n windows' (n, S, 1) targets in ``part`` order. With
     L = min(_BLOCK, batch_size) and an offset o drawn from ``rng`` in [0, L),
-    a run of n windows is cut into whole blocks of l = min(L, n) windows,
-    the first at window o mod (n - l + 1), so every run gives at least one
-    and a run shorter than L is one block; the windows before a run's first
-    block and after its last sit out the epoch. The blocks are shuffled, up
-    to batch_size // l blocks of one length l make a minibatch, and the
-    minibatches come in shuffled order; every draw from ``rng`` happens
-    before the first is yielded. Each is ((m, l + P - 1, S, K) rows,
-    (m l, S, 1) targets), the targets block-major with the window position
-    varying fastest, as ``StgcnModel.forward_rows`` orders its output.
+    the windows are cut into whole blocks of l = min(L, n) windows, the
+    first at window o mod (n - l + 1); the windows before the first block
+    and after the last sit out the epoch. The blocks are shuffled, up to
+    batch_size // l of them make a minibatch, and the minibatches come in
+    shuffled order; every draw from ``rng`` happens before the first is
+    yielded. Each is ((m, l + P - 1, S, K) rows, (m l, S, 1) targets), the
+    targets block-major with the window position varying fastest, as
+    ``StgcnModel.forward_rows`` orders its output.
     """
     length = min(_BLOCK, batch_size)
     offset = int(rng.integers(length))
-    sizes = [rows.shape[0] - history_steps + 1 for rows in runs]
-    first = np.cumsum([0] + sizes)               # each run's first window in targets
-    blocks = []                                  # (run, first window in the run, windows)
-    for r, n in enumerate(sizes):
-        size = min(length, n)
-        blocks += [(r, a, size) for a in range(offset % (n - size + 1), n - size + 1, size)]
-    by_length: dict[int, list] = {}
-    for i in rng.permutation(len(blocks)):
-        by_length.setdefault(blocks[i][2], []).append(blocks[i])
-    batches = [group[lo:lo + batch_size // size] for size, group in by_length.items()
-               for lo in range(0, len(group), batch_size // size)]
+    n = rows.shape[0] - history_steps + 1
+    size = min(length, n)
+    firsts = np.arange(offset % (n - size + 1), n - size + 1, size)
+    firsts = firsts[rng.permutation(len(firsts))]
+    per_batch = batch_size // size
+    batches = [firsts[lo:lo + per_batch] for lo in range(0, len(firsts), per_batch)]
     for i in rng.permutation(len(batches)):
-        batch = batches[i]
-        size = batch[0][2]
-        yield (np.stack([runs[r][a:a + size + history_steps - 1] for r, a, _ in batch]),
-               np.concatenate([targets[first[r] + a:first[r] + a + size]
-                               for r, a, _ in batch]))
+        yield (np.stack([rows[a:a + size + history_steps - 1] for a in batches[i]]),
+               np.concatenate([targets[a:a + size] for a in batches[i]]))
 
 
 def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
@@ -476,8 +467,8 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     every window that shares a column. Some windows sit out each epoch, and
     an epoch's ``train_loss`` is the mean over the windows it saw.
     Validation loss, MAE and RMSE of the one-step forecasts are computed on
-    the normalized scale after every epoch, by ``predict_series`` on each run
-    of validation windows, at most ``_PREDICT_BATCH`` per forward; the parameters
+    the normalized scale after every epoch, by ``predict_series`` on the
+    validation rows, at most ``_PREDICT_BATCH`` windows per forward; the parameters
     of the best validation epoch are restored into the model before
     returning. Freed pages stay in the process, up to 64 MiB (see
     ``_keep_freed_pages``).
@@ -522,8 +513,7 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
             total += value * len(y)
             seen += len(y)
 
-        err = np.concatenate([predict_series(model, rows, op, 1, 0)[:, 0]
-                              for rows in val_rows]) - val_y
+        err = predict_series(model, val_rows, op, 1, 0)[:, 0] - val_y
         val_loss = float((err ** 2).sum() / len(err))
         val_mae, val_rmse = float(np.abs(err).mean()), float(np.sqrt((err ** 2).mean()))
         history.append(EpochStats(epoch, total / seen, val_loss, val_mae, val_rmse))

@@ -11,7 +11,8 @@ for float64 distances exits 3 without one. An observation too large for
 min-max scaling to keep the other readings exits 6 from run-all and train.
 A model larger than physical memory exits 2 from the config and 7 from a
 checkpoint, before any weight is drawn; a checkpoint with a non-integer
-size or a parameter that is not a finite real number exits 7; and
+size or a parameter that is not a finite real number exits 7, and one whose
+windowing metadata is missing or of the wrong type exits 3; and
 observations with a century between two rows exit 3 before the hourly
 grid is allocated. A station id that the unquoted artifacts cannot carry
 exits 3 quietly, and a target that reads one constant value everywhere is
@@ -441,6 +442,33 @@ def test_unusable_checkpoint_is_refused(scenario, tmp_path):
             assert code == 7, (name, command, lines)
             assert len(lines) == 1 and "Traceback" not in lines[0], (name, command, lines)
             assert not out.exists(), (name, command)
+
+
+def _without_station_ids(meta):
+    return {key: value for key, value in meta.items() if key != "station_ids"}
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("forge", [
+    _without_station_ids,
+    lambda meta: {**meta, "station_ids": 5},
+    lambda meta: {**meta, "horizon_steps": "abc"},
+], ids=["no_station_ids", "int_station_ids", "text_horizon_steps"])
+def test_malformed_checkpoint_metadata_exits_3_quietly(scenario, tmp_path, forge, command):
+    root, paths = scenario
+    blocks, meta = load_checkpoint(root / "model" / "model.ckpt")
+    forged = tmp_path / "forged.ckpt"
+    save_checkpoint(forged, blocks, forge(meta))
+    out = tmp_path / "out"
+    args = {"predict": ["--out", str(out / "forecast.csv")], "evaluate": ["--out-dir", str(out)]}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--fused", str(paths["fused.csv"]), "--adjacency",
+                     str(paths["adjacency.csv"]), "--model", str(forged)] + args[command])
+    lines = err.getvalue().splitlines()
+    assert code == 3, lines
+    assert len(lines) == 1 and "checkpoint metadata" in lines[0], lines
+    assert not out.exists()
 
 
 def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path):

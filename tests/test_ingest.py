@@ -340,7 +340,6 @@ def test_make_windows_counts_and_content():
     for i in range(ds.n_total):
         assert np.array_equal(ds.inputs[i], values[i:i + 3])
         assert np.array_equal(ds.targets[i][..., 0], values[i + 3:i + 5, :, 1])
-    assert np.array_equal(ds.starts, np.arange(6))
 
 
 def test_make_windows_full_scale_count():
@@ -361,54 +360,44 @@ def test_make_windows_split_sizes():
     assert ds.bounds("val") == (6, 8)
 
 
-def test_make_windows_drops_windows_touching_nan():
-    values = np.random.default_rng(80).normal(size=(12, 2, 1))
-    values[5, 0, 0] = np.nan
-    ds = make_windows(values, ["s1", "s2"], ["t"], 3, 1, "t")
-    # Windows with rows [i, i+3] covering row 5 (input or target) are gone.
-    assert ds.n_total == 12 - 3 - 1 + 1 - 4
-    assert 5 not in [s + off for s in ds.starts for off in range(4)]
+def test_make_windows_rejects_a_missing_cell():
+    # Windows are cut from a fused panel, which is complete: a NaN anywhere,
+    # even in a cell no window reads, is refused and its row named.
+    values = np.random.default_rng(80).normal(size=(12, 2, 2))
+    for row, station, channel in ((5, 0, 0),     # an input row
+                                  (11, 1, 0),    # a horizon row of the predicted target
+                                  (11, 0, 1)):   # another channel of the last row
+        gappy = values.copy()
+        gappy[row, station, channel] = np.nan
+        with pytest.raises(ValidationError, match=f"row {row} has a missing cell"):
+            make_windows(gappy, ["s1", "s2"], ["a", "b"], 3, 1, "a")
 
 
-def test_make_windows_views_its_rows_unless_windows_were_dropped():
-    rng = np.random.default_rng(81)
-    values = rng.normal(size=(30, 3, 2))
+def test_make_windows_views_its_rows():
+    values = np.random.default_rng(81).normal(size=(30, 3, 2))
     ds = make_windows(values, ["s1", "s2", "s3"], ["a", "b"], 4, 2, "b")
     assert np.array_equal(ds.rows, values) and not np.shares_memory(ds.rows, values)
     assert np.shares_memory(ds.inputs, ds.rows)
     assert not ds.inputs.flags.writeable and not ds.rows.flags.writeable
     with pytest.raises(ValueError):
         ds.inputs[0, 0, 0, 0] = 1.0
-    for trial in range(40):
-        gappy = values.copy()
-        gappy[rng.integers(0, 30, size=trial % 4 + 1), rng.integers(0, 3),
-              rng.integers(0, 2)] = np.nan
-        if trial % 4 == 0:
-            gappy[-1, 0, 0] = np.nan          # a non-predicted cell past every input
-        ds = make_windows(gappy, ["s1", "s2", "s3"], ["a", "b"], 4, 2, "b")
-        want = [i for i in range(30 - 4 - 2 + 1)
-                if not (np.isnan(gappy[i:i + 4]).any()
-                        or np.isnan(gappy[i + 4:i + 6, :, 1]).any())]
-        assert ds.starts.tolist() == want
-        assert not np.shares_memory(ds.inputs, ds.rows) or len(want) == 25
-        for j, start in enumerate(want):
-            assert np.array_equal(ds.inputs[j], gappy[start:start + 4])
-            assert np.array_equal(ds.targets[j, :, :, 0], gappy[start + 4:start + 6, :, 1])
+    assert ds.targets.flags.writeable and not np.shares_memory(ds.targets, ds.rows)
 
 
 def test_series_are_the_row_blocks_of_each_run_of_windows():
+    # A split is one run of windows: its rows' stride-1 windows are part's.
     values = np.random.default_rng(82).normal(size=(40, 2, 1))
-    values[[14, 27], 1, 0] = np.nan
     ds = make_windows(values, ["s1", "s2"], ["t"], 3, 1, "t", split=(0.3, 0.3, 0.4))
     for name in ("train", "val", "test"):
         x, _ = ds.part(name)
-        blocks = ds.series(name)
-        windows = [block[j:j + 3] for block in blocks for j in range(len(block) - 2)]
+        block = ds.series(name)
+        lo, hi = ds.bounds(name)
+        assert np.shares_memory(block, ds.rows) and np.array_equal(block, values[lo:hi + 2])
+        windows = [block[j:j + 3] for j in range(len(block) - 2)]
         assert len(windows) == len(x)
         assert all(np.array_equal(w, xi) for w, xi in zip(windows, x))
-    assert [len(ds.series(name)) for name in ("train", "val", "test")] == [1, 2, 2]
     ds.n_val = 0
-    assert ds.series("val") == []
+    assert len(ds.series("val")) == 2                     # P - 1 rows: no window
 
 
 def test_make_windows_errors():

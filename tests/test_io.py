@@ -18,7 +18,7 @@ from geofuse.io import (
     write_metrics_csv,
     write_report_csvs,
 )
-from geofuse.metrics import consistency_report
+from geofuse.metrics import KDE_GRID_SIZE, consistency_report
 from geofuse.stgcn import EpochStats
 
 HOUR = timedelta(hours=1)
@@ -199,6 +199,17 @@ def test_adjacency_round_trip(tmp_path):
         write_adjacency_csv(matrix, ids[:3], path)
 
 
+def test_adjacency_reader_skips_blank_rows(tmp_path):
+    path = tmp_path / "adj.csv"
+    path.write_text("station_id,a,b\n\na,0,0.5\n\nb,0.5,0\n\n")
+    ids, matrix = read_adjacency_csv(path)
+    assert ids == ["a", "b"] and matrix.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    path.write_text("station_id,a,b\n\na,0,0.5\nb,0.5,x\n")
+    with pytest.raises(ParseError, match="weight") as info:
+        read_adjacency_csv(path)
+    assert info.value.line == 4                # the file's line, blanks counted
+
+
 def test_adjacency_reader_errors(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_text("nope,a\n")
@@ -264,7 +275,7 @@ def test_report_csvs(tmp_path):
     fused_vals = rng.normal(size=(10, 4, 2))
     mask = rng.random((10, 4, 2)) > 0.3
     raw = np.where(mask, fused_vals, np.nan)
-    report = consistency_report(raw, fused_vals, ["t1", "t2"], grid_size=32)
+    report = consistency_report(raw, fused_vals, ["t1", "t2"])
     stamps = [datetime(2017, 3, 1) + i * HOUR for i in range(10)]
     names = write_report_csvs(report, tmp_path, stamps)
     assert names == ["variance.csv", "kde_t1.csv", "overlay_t1.csv",
@@ -276,7 +287,7 @@ def test_report_csvs(tmp_path):
     assert len(variance_lines) == 3
     kde_lines = (tmp_path / "kde_t1.csv").read_text().splitlines()
     assert kde_lines[0] == "grid,raw_density,fused_density"
-    assert len(kde_lines) == 33
+    assert len(kde_lines) == KDE_GRID_SIZE + 1
     overlay_lines = (tmp_path / "overlay_t1.csv").read_text().splitlines()
     assert overlay_lines[0] == \
         "timestamp,raw_mean,fused_mean,raw_variance,fused_variance"

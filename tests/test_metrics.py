@@ -9,6 +9,7 @@ from scipy.integrate import trapezoid
 from geofuse.errors import ValidationError
 from geofuse.metrics import (
     KDE_BIN_FRACTION,
+    KDE_GRID_SIZE,
     consistency_report,
     kde,
     kde_l1_distance,
@@ -123,8 +124,8 @@ def test_kde_peak_and_mass():
 def test_kde_default_grid_covers_data():
     rng = np.random.default_rng(3)
     samples = rng.normal(size=300)
-    grid, density = kde(samples, grid_size=128)
-    assert grid.shape == density.shape == (128,)
+    grid, density = kde(samples)
+    assert grid.shape == density.shape == (KDE_GRID_SIZE,)
     assert grid[0] < samples.min() and grid[-1] > samples.max()
     assert trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
 

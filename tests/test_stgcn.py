@@ -257,49 +257,47 @@ def test_block_forward_matches_stacked_windows():
                            atol=1e-12 * np.abs(g).max()), name
 
 
-def _gappy_dataset(gaps, t_total=170, p=4):
-    """Rows that hold their own index, with NaN rows at ``gaps``."""
+def _index_dataset(t_total, p=4):
+    """Rows that hold their own index."""
     values = np.broadcast_to(np.arange(t_total, dtype=float)[:, None, None],
                              (t_total, 6, 2)).copy()
-    values[list(gaps)] = np.nan
     return make_windows(values, [f"s{i}" for i in range(6)], ["a", "b"], p, 1, "a")
 
 
 @pytest.mark.parametrize("batch_size", [1, 5, 16, 32, 40])
 def test_minibatches_are_aligned_blocks_of_consecutive_windows(batch_size):
-    ds = _gappy_dataset([10, 40, 57, 90, 121])
-    runs = ds.series("train")
-    sizes = [len(r) - 3 for r in runs]
-    assert min(sizes) < 16 < max(sizes)                  # short and long runs
     length = min(16, batch_size)
-    rng = np.random.default_rng(33)
-    seen: set = set()
-    for _ in range(20):
-        starts = []
-        for rows, y in stgcn._minibatches(runs, ds.part("train")[1][:, 0], 4,
-                                          batch_size, rng):
-            m, span = rows.shape[:2]
-            n = span - 3
-            assert m * n <= batch_size and n <= length
-            assert (np.diff(rows[:, :, 0, 0], axis=1) == 1).all()   # consecutive rows
-            first = rows[:, :n, 0, 0].reshape(-1)                    # each window's start
-            assert np.array_equal(y[:, :, 0], np.repeat(first[:, None] + 4, 6, axis=1))
-            starts += first.tolist()
-        assert starts and len(set(starts)) == len(starts)           # each window once
-        assert set(starts) <= set(ds.starts[:ds.n_train].tolist())
-        # Only runs of at least one block lose windows: at most L - 1 at each end.
-        assert len(starts) >= ds.n_train - 2 * (length - 1) * sum(n >= length for n in sizes)
-        seen |= set(starts)
-    if length > 1:                             # the offset moves the blocks
-        assert len(seen) > len(starts)
+    for t_total in (20, 170):                     # 10 and 100 training windows
+        ds = _index_dataset(t_total)
+        n = ds.n_train
+        size = min(length, n)
+        rng = np.random.default_rng(33)
+        seen: set = set()
+        for _ in range(20):
+            starts = []
+            for rows, y in stgcn._minibatches(ds.series("train"), ds.part("train")[1][:, 0],
+                                              4, batch_size, rng):
+                m, span = rows.shape[:2]
+                assert span - 3 == size and m * size <= batch_size
+                assert (np.diff(rows[:, :, 0, 0], axis=1) == 1).all()   # consecutive rows
+                first = rows[:, :size, 0, 0].reshape(-1)                # each window's start
+                assert np.array_equal(y[:, :, 0], np.repeat(first[:, None] + 4, 6, axis=1))
+                starts += first.tolist()
+            assert starts and len(set(starts)) == len(starts)           # each window once
+            assert set(starts) <= set(range(n))
+            # A split shorter than a block is one block; a longer one loses at
+            # most L - 1 windows at each end.
+            assert len(starts) >= n - 2 * (length - 1) * (n >= length)
+            seen |= set(starts)
+        if 1 < size < n:                           # the offset moves the blocks
+            assert len(seen) > len(starts)
 
 
 def test_training_on_runs_shorter_than_a_block_steps_and_learns(monkeypatch):
-    # A NaN row every 12 hours leaves runs of 5 training windows, each less
-    # than a block; every epoch still steps, and the loss falls.
-    ds = _smooth_dataset(t_total=200, gaps=range(11, 200, 12))
-    sizes = [len(r) - 5 for r in ds.series("train")]
-    assert len(sizes) > 5 and max(sizes) < 16, sizes
+    # 14 training windows, less than a block: each epoch is one step, and
+    # the loss falls.
+    ds = _smooth_dataset(t_total=30)
+    assert ds.n_train < 16, ds.n_train
     cheb, _ = operators(4, seed=15)
     model = StgcnModel(ModelConfig(n_nodes=4, in_channels=2, history_steps=6,
                                    channels=(6, 3, 6), time_kernel=2, graph_kernel=2,
@@ -308,11 +306,11 @@ def test_training_on_runs_shorter_than_a_block_steps_and_learns(monkeypatch):
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda opt: steps.append(1) or step(opt))
     result = train(model, ds, cheb, TrainConfig(lr=0.01, batch_size=32, epochs=20, seed=17))
-    assert len(steps) >= 20
+    assert len(steps) == 20
     assert result.history[-1].train_loss < 0.5 * result.history[0].train_loss
 
 
-def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2, gaps=()):
+def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2):
     rng = np.random.default_rng(seed)
     t = np.arange(t_total)[:, None]
     phase = rng.uniform(0, 2 * np.pi, size=s)
@@ -320,7 +318,6 @@ def _smooth_dataset(seed=14, t_total=140, s=4, p=6, q=2, gaps=()):
     other = 0.5 + 0.3 * np.cos(2 * np.pi * t / 17.0 + phase)
     values = np.stack([base, other], axis=2)  # (T, S, 2)
     values += rng.normal(0, 0.01, values.shape)
-    values[list(gaps)] = np.nan
     return make_windows(values, [f"s{i}" for i in range(s)], ["a", "b"], p, q, "a")
 
 
@@ -516,17 +513,14 @@ def test_series_rollout_matches_predict_batch(mode, order, time_kernel):
             _assert_rollout_close(got, predict_batch(model, windows, op, horizon, 2))
 
 
-def test_series_rollout_over_a_split_with_dropped_windows():
+def test_series_rollout_over_a_split():
     values = np.random.default_rng(47).normal(size=(120, 4, 2))
-    values[[50, 71, 90], 2, 1] = np.nan
     ds = make_windows(values, [f"s{i}" for i in range(4)], ["a", "b"], 6, 3, "a",
                       split=(0.3, 0.3, 0.4))
     model = StgcnModel(tiny_config(n_nodes=4, in_channels=2), seed=48)
     cheb, _ = operators(4, seed=49)
     for name in ("val", "test"):
-        blocks = ds.series(name)
-        assert len(blocks) >= 2
-        got = np.concatenate([predict_series(model, rows, cheb, 3, 0) for rows in blocks])
+        got = predict_series(model, ds.series(name), cheb, 3, 0)
         _assert_rollout_close(got, predict_batch(model, ds.part(name)[0], cheb, 3, 0))
 
 

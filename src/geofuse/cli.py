@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, load_config, parse_config_text
+from .config import PipelineConfig, config_text, load_config, parse_config_text
 from .errors import (
     ConfigError,
     FusionError,
@@ -183,21 +183,20 @@ def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
                     raise TrainingError(
                         f"target {tid!r} spans {norm.mins[k]:.6g} to {norm.maxs[k]:.6g} in "
                         "the training rows; min-max scaling cannot keep its other readings")
-        return _windows(fused, norm, p, q, config.predicted_target, config.split), norm
+        return _windows(fused, norm, config), norm
 
 
-def _windows(fused: FusionMatrix, norm: NormalizationParams, history: int,
-             horizon: int, predicted: str, split):
-    """The normalized fused panel cut into (history, horizon) windows."""
+def _windows(fused: FusionMatrix, norm: NormalizationParams, config: PipelineConfig):
+    """The normalized fused panel cut into the config's (history, horizon) windows."""
     return make_windows(apply_normalization(fused.values, norm), fused.station_ids,
-                        fused.target_ids, history, horizon, predicted, split)
+                        fused.target_ids, config.model.history_steps,
+                        config.horizon_steps, config.predicted_target, config.split)
 
 
 def _fit(fused: FusionMatrix, dataset, op, config: PipelineConfig):
     with _phase(EXIT_TRAINING):
-        model_config = replace(config.model, n_nodes=len(fused.station_ids),
-                               in_channels=len(fused.target_ids))
-        model = StgcnModel(model_config, seed=config.train.seed)
+        model = StgcnModel(replace(config.model, n_nodes=len(fused.station_ids),
+                                   in_channels=len(fused.target_ids)), seed=config.train.seed)
         result = train(model, dataset, op, config.train)
     return model, result
 
@@ -205,35 +204,31 @@ def _fit(fused: FusionMatrix, dataset, op, config: PipelineConfig):
 def _train_meta(fused: FusionMatrix, config: PipelineConfig,
                 norm: NormalizationParams, result) -> dict:
     return {
-        "predicted_target": config.predicted_target,
+        "config": config_text(config),
         "target_ids": fused.target_ids,
         "station_ids": fused.station_ids,
-        "horizon_steps": config.horizon_steps,
-        "split": list(config.split),
         "normalization": {"mins": norm.mins.tolist(), "maxs": norm.maxs.tolist()},
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
     }
 
 
-def _restore_context(fused: FusionMatrix, meta: dict):
-    """Pull windowing and scaling context back out of a checkpoint."""
-    try:
-        target_ids, station_ids = list(meta["target_ids"]), list(meta["station_ids"])
-        norm = NormalizationParams(
-            target_ids,
-            np.asarray(meta["normalization"]["mins"], dtype=np.float64),
-            np.asarray(meta["normalization"]["maxs"], dtype=np.float64))
-        predicted = meta["predicted_target"]
-        horizon = int(meta["horizon_steps"])
-        split = tuple(meta["split"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"checkpoint metadata incomplete or malformed: {exc}")
-    if target_ids != fused.target_ids:
+def _restore_context(fused: FusionMatrix, meta: dict) -> NormalizationParams:
+    """Check a loaded checkpoint against the fused panel; return its scaling."""
+    if list(meta["target_ids"]) != fused.target_ids:
         raise ValidationError("checkpoint targets do not match the fused panel")
-    if station_ids != fused.station_ids:
+    if list(meta["station_ids"]) != fused.station_ids:
         raise ValidationError("checkpoint stations do not match the fused panel")
-    return norm, predicted, horizon, split
+    predicted = meta["config"].predicted_target
+    if predicted not in fused.target_ids:
+        raise ValidationError(f"checkpoint predicted_target {predicted!r} is not a target")
+    try:
+        bounds = [np.asarray(meta["normalization"][k], dtype=float) for k in ("mins", "maxs")]
+        if any(b.shape != (len(fused.target_ids),) or not np.isfinite(b).all() for b in bounds):
+            raise ValueError(f"need {len(fused.target_ids)} finite mins and maxs")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"checkpoint normalization is malformed: {exc}")
+    return NormalizationParams(fused.target_ids, *bounds)
 
 
 def _metric_row(horizon, truth: np.ndarray, pred: np.ndarray) -> dict:
@@ -331,21 +326,21 @@ def cmd_train(args) -> int:
 
 
 def _load_model_context(args):
-    """Inputs exit 3; a checkpoint that does not load into a model exits 7."""
+    """Inputs and checkpoint metadata exit 3; a non-checkpoint or unfit weights exit 7."""
     with _phase(EXIT_INGEST):
         fused, adj_matrix = _read_fused_and_adjacency(args)
     with _phase(EXIT_EVALUATION):
         model, meta = load_model(args.model)
     with _phase(EXIT_INGEST):
-        norm, predicted, horizon, split = _restore_context(fused, meta)
+        norm = _restore_context(fused, meta)
     op = _operator(adj_matrix, model.config.graph_mode)
-    return fused, model, op, norm, predicted, horizon, split
+    return fused, model, op, norm, meta["config"]
 
 
 def cmd_predict(args) -> int:
-    fused, model, op, norm, predicted, horizon, _ = _load_model_context(args)
-    if args.horizon is not None:
-        horizon = args.horizon
+    fused, model, op, norm, config = _load_model_context(args)
+    predicted = config.predicted_target
+    horizon = config.horizon_steps if args.horizon is None else args.horizon
     with _phase(EXIT_EVALUATION):
         n_hours = fused.values.shape[0]
         if not 1 <= horizon <= n_hours:
@@ -367,10 +362,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    fused, model, op, norm, predicted, horizon, split = _load_model_context(args)
+    fused, model, op, norm, config = _load_model_context(args)
     with _phase(EXIT_EVALUATION):
-        dataset = _windows(fused, norm, model.config.history_steps, horizon,
-                           predicted, split)
+        dataset = _windows(fused, norm, config)
     rows = _evaluate(model, dataset, op, norm)
     out = _ensure_dir(args.out_dir)
     write_metrics_csv(rows, out / "metrics.csv")

@@ -104,6 +104,17 @@ def parse_config_text(text: str, source: str = "<config>", **overrides) -> Pipel
     return config
 
 
+def config_text(config: PipelineConfig) -> str:
+    """The text ``parse_config_text`` reads back as ``config``, one key a line."""
+    lines = []
+    for key, (section, _) in _PARSERS.items():
+        value = getattr(getattr(config, section) if section else config, key)
+        text = (", ".join(map(str, value)) if isinstance(value, tuple)
+                else "none" if value is None else str(value))
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
 def load_config(path, **overrides) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:

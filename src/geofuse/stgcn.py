@@ -48,14 +48,15 @@ from __future__ import annotations
 import ctypes
 import operator
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, ShapeError, TrainingError, ValidationError
+from .errors import ConfigError, ParseError, ShapeError, TrainingError, ValidationError
 from .graph import GraphOperator
 from .ingest import WindowedDataset
 from .optim import Adam
@@ -108,7 +109,7 @@ class ModelConfig:
         need, memory = self.nbytes(), _physical_memory()
         if memory is not None and need > memory:
             raise ConfigError(
-                f"the model needs at least {need / 2**30:.3g} GiB for its "
+                f"the model needs at least {Decimal(need) / 2**30:.3g} GiB for its "
                 f"parameters and one window's activations, more than the "
                 f"{memory / 2**30:.3g} GiB of physical memory")
 
@@ -635,25 +636,22 @@ def _rollout(model: StgcnModel, rows: np.ndarray, op: GraphOperator, horizon: in
     return out
 
 
-def save_model(path, model: StgcnModel, meta: dict | None = None) -> None:
-    """Checkpoint parameters plus enough metadata to rebuild the model."""
-    payload = dict(meta or {})
-    payload["model_config"] = asdict(model.config)
-    save_checkpoint(path, model.parameters(), payload)
+def save_model(path, model: StgcnModel, meta: dict) -> None:
+    """Checkpoint parameters plus metadata whose ``config`` rebuilds the model."""
+    save_checkpoint(path, model.parameters(), meta)
 
 
 def load_model(path) -> tuple[StgcnModel, dict]:
-    """Rebuild a model from a checkpoint. Parameter blocks replace the init."""
+    """Rebuild a model from a checkpoint; ``meta["config"]`` comes back parsed."""
+    from .config import parse_config_text  # here, since config imports this module
     blocks, meta = load_checkpoint(path)
     try:
-        raw = dict(meta["model_config"])
-        raw["channels"] = tuple(raw["channels"])
-        config = ModelConfig(**raw)
-        config.validate()   # sizes the model before StgcnModel allocates it
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"checkpoint lacks a usable model config: {exc}") from exc
-    except ConfigError as exc:
-        raise ValidationError(f"checkpoint model config: {exc}") from exc
+        meta["config"] = parse_config_text(meta["config"], source="config")
+        config = replace(meta["config"].model, n_nodes=len(meta["station_ids"]),
+                         in_channels=len(meta["target_ids"]))
+        config.validate()   # the parse sized one node; size the model before allocating it
+    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+        raise ParseError(f"checkpoint {path}: bad or missing metadata: {exc}") from exc
     model = StgcnModel(config, seed=0)
     params = model.parameters()
     if set(params) != set(blocks):

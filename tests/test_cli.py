@@ -192,6 +192,7 @@ def test_config_errors_exit_2(pipeline, tmp_path, capsys):
     "distance_metric = manhattan", "dropout = 1.5", "lr = 0", "lr = nan",
     "batch_size = 0", "epochs = 0", "graph_kernel = 0", "time_kernel = 9",
     "seed = -1", "split = 0.5, 0.5, nan", "predicted_target = t99",
+    pytest.param(f"history_steps = {10**400}", id="history_steps = 10**400"),
 ])
 def test_bad_config_value_exits_2_before_any_stage(pipeline, tmp_path, setting):
     bad = tmp_path / "bad.cfg"

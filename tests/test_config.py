@@ -3,8 +3,15 @@
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geofuse.config import _PARSERS, PipelineConfig, load_config, parse_config_text
+from geofuse.config import (
+    _PARSERS,
+    PipelineConfig,
+    config_text,
+    load_config,
+    parse_config_text,
+)
 from geofuse.errors import ConfigError
 
 
@@ -57,16 +64,71 @@ def test_every_key_is_a_field_of_its_section():
 
 
 def test_every_key_parses_the_text_of_its_default():
-    """``sigma = auto``, ``channels = 32, 8, 32`` and so on give the defaults back.
+    """Each line of the defaults' ``config_text``, alone, gives the defaults back.
 
     The reprs are compared, so a key parsed as the wrong type fails too.
     """
     config = PipelineConfig()
-    for key, (section, _) in _PARSERS.items():
-        default = getattr(getattr(config, section) if section else config, key)
-        text = ("auto" if default is None else ", ".join(map(str, default))
-                if isinstance(default, tuple) else str(default))
-        assert repr(parse_config_text(f"{key} = {text}")) == repr(config), key
+    lines = config_text(config).splitlines()
+    assert [line.partition(" = ")[0] for line in lines] == list(_PARSERS)
+    for line in lines:
+        assert repr(parse_config_text(line)) == repr(config), line
+
+
+POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(repr)
+OPTIONAL = st.sampled_from(["none", "None", "auto", ""])
+
+
+@st.composite
+def config_lines(draw) -> str:
+    """``key = value`` lines for some keys, each value inside its parser's range.
+
+    The keys a config checks together (the kernels, the graph mode and the
+    history) are drawn so that they pass together.
+    """
+    keys = draw(st.lists(st.sampled_from(list(_PARSERS)), unique=True))
+    kernel = draw(st.integers(1, 4)) if "time_kernel" in keys else 3
+    mode = draw(st.sampled_from(["chebyshev", "first_order"])) if "graph_mode" in keys \
+        else "chebyshev"
+    for needed, key in ((kernel != 3, "history_steps"), (mode != "chebyshev", "graph_kernel")):
+        if needed and key not in keys:
+            keys.append(key)
+    train, val = draw(st.integers(0, 100)), draw(st.integers(0, 100))
+    val = min(val, 100 - train)
+    ints = st.integers(1, 10**6).map(str)
+    values = {
+        "horizon_steps": ints,
+        "predicted_target": st.text(st.characters(exclude_categories=("C", "Z"),
+                                                  exclude_characters="#"), max_size=6),
+        "split": st.just(f"{train / 100}, {val / 100}, {(100 - train - val) / 100}"),
+        "max_gap_hours": st.integers(0, 10**6).map(str),
+        "sigma": OPTIONAL | st.floats(allow_nan=False).map(repr),
+        "shape_c": OPTIONAL | POSITIVE,
+        "ridge": OPTIONAL | st.floats(min_value=0, allow_infinity=False).map(repr),
+        "distance_metric": st.sampled_from(["euclidean", "haversine_km"]),
+        "history_steps": st.integers(4 * kernel - 3, 4 * kernel + 40).map(str),
+        "channels": st.lists(st.integers(1, 64), min_size=3, max_size=3).map(
+            lambda cs: ", ".join(map(str, cs))),
+        "time_kernel": st.just(str(kernel)),
+        "graph_kernel": st.just("1") if mode == "first_order" else st.integers(1, 5).map(str),
+        "graph_mode": st.just(mode),
+        "dropout": st.floats(0, 1, exclude_max=True).map(repr),
+        "lr": POSITIVE,
+        "batch_size": ints,
+        "epochs": ints,
+        "seed": st.integers(0, 2**64).map(str),
+    }
+    assert values.keys() == _PARSERS.keys()
+    return "".join(f"{key} = {draw(values[key])}\n" for key in keys)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=config_lines())
+def test_config_text_parses_back_to_its_config(text):
+    config = parse_config_text(text)
+    written = config_text(config)
+    assert parse_config_text(written) == config
+    assert config_text(parse_config_text(written)) == written
 
 
 def test_unknown_key_reports_line():

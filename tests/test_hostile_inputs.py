@@ -9,10 +9,12 @@ edge exits 5 without a warning, and so does an observation too large for a
 float64 variance in ``report`` (exit 7); a station too far from the others
 for float64 distances exits 3 without one. An observation too large for
 min-max scaling to keep the other readings exits 6 from run-all and train.
-A model larger than physical memory exits 2 from the config and 7 from a
-checkpoint, before any weight is drawn; a checkpoint with a non-integer
-size or a parameter that is not a finite real number exits 7, and one whose
-windowing metadata is missing or of the wrong type exits 3; and
+A model larger than physical memory exits 2 from the config and 3 from a
+checkpoint, before any weight is drawn. A checkpoint whose metadata is
+missing or bad (its config text, ids, scaling or predicted target, or a
+non-integer model size) exits 3, one with a parameter that is not a finite
+real number exits 7, and any value in one key of its config text ends in 0,
+3 or 7; and
 observations with a century between two rows exit 3 before the hourly
 grid is allocated. A station id that the unquoted artifacts cannot carry
 exits 3 quietly, and a target that reads one constant value everywhere is
@@ -33,6 +35,7 @@ from hypothesis import example, given, settings, strategies as st
 import geofuse.stgcn
 from geofuse.checkpoint import load_checkpoint, save_checkpoint
 from geofuse.cli import main
+from geofuse.config import _PARSERS
 from geofuse.errors import ValidationError
 from geofuse.metrics import kde
 
@@ -62,6 +65,14 @@ TOKENS = (st.sampled_from(BAD_TOKENS)
 def _quiet_main(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
+
+
+def _with_line(text: str, key: str, value: str) -> str:
+    """Config text with the value of its ``key`` line replaced."""
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.partition("=")[0].strip() == key)
+    lines[at] = f"{key} = {value}\n"
+    return "".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +357,7 @@ def test_huge_observation_fails_the_report_quietly(scenario, tmp_path):
 
 def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_path,
                                                                monkeypatch):
-    """A config or a checkpoint whose model outgrows physical memory exits 2 or 7.
+    """A config or a checkpoint whose model outgrows physical memory exits 2 or 3.
 
     The requests are petabytes and hundreds of terabytes; drawing any weight
     fails the test, so nothing is ever allocated for them.
@@ -357,17 +368,15 @@ def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_pat
         raise AssertionError("a weight was drawn for an oversized model")
 
     monkeypatch.setattr(geofuse.stgcn, "_glorot", no_weights)
-    oversized = {
-        "channels": ("channels = 4, 2, 4", "channels = 4, 2, 10000000", [4, 2, 10**7]),
-        "history_steps": ("history_steps = 6", f"history_steps = {10**12}", 10**12)}
+    oversized = {"channels": "4, 2, 10000000", "history_steps": str(10**12)}
     blocks, meta = load_checkpoint(root / "model" / "model.ckpt")
     out = tmp_path / "out"
-    for key, (line, big_line, big_value) in oversized.items():
+    for key, big_value in oversized.items():
         config = tmp_path / "oversized.cfg"
-        config.write_text(CONFIG.replace(line, big_line))
+        config.write_text(_with_line(CONFIG, key, big_value))
         forged = tmp_path / "forged.ckpt"
-        save_checkpoint(forged, blocks, {**meta, "model_config": {**meta["model_config"],
-                                                                   key: big_value}})
+        save_checkpoint(forged, blocks, {**meta, "config": _with_line(meta["config"], key,
+                                                                      big_value)})
         model_args = ["--fused", str(paths["fused.csv"]), "--adjacency",
                       str(paths["adjacency.csv"]), "--model", str(forged)]
         runs = {
@@ -377,8 +386,8 @@ def test_oversized_model_is_refused_before_any_weight_is_drawn(scenario, tmp_pat
             ("train", 2): ["--fused", str(paths["fused.csv"]),
                            "--adjacency", str(paths["adjacency.csv"]),
                            "--config", str(config), "--out-dir", str(out)],
-            ("predict", 7): model_args + ["--out", str(out / "forecast.csv")],
-            ("evaluate", 7): model_args + ["--out-dir", str(out)],
+            ("predict", 3): model_args + ["--out", str(out / "forecast.csv")],
+            ("evaluate", 3): model_args + ["--out-dir", str(out)],
         }
         for (command, want), args in runs.items():
             err = io.StringIO()
@@ -397,17 +406,17 @@ def _one_nan(block):
 
 
 def test_unusable_checkpoint_is_refused(scenario, tmp_path):
-    """A float where a model size belongs, or a parameter block with a NaN, text
-    or complex numbers: predict and evaluate exit 7 with one stderr line and
-    write nothing."""
+    """A float where a model size belongs exits 3, and a parameter block with a
+    NaN, text or complex numbers exits 7, from predict and evaluate, with one
+    stderr line and nothing written."""
     root, paths = scenario
     saved = root / "model" / "model.ckpt"
     blocks, meta = load_checkpoint(saved)
-    config = meta["model_config"]
     forged = tmp_path / "forged.ckpt"
 
     def with_config(key, value):
-        save_checkpoint(forged, blocks, {**meta, "model_config": {**config, key: value}})
+        save_checkpoint(forged, blocks, {**meta, "config": _with_line(meta["config"], key,
+                                                                      value)})
 
     def with_block(forge):
         # Written past save_checkpoint, which would cast the block to float64.
@@ -418,18 +427,16 @@ def test_unusable_checkpoint_is_refused(scenario, tmp_path):
             np.savez(f, **arrays)
 
     forgeries = {
-        "history_steps": lambda: with_config("history_steps", float(config["history_steps"])),
-        "n_nodes": lambda: with_config("n_nodes", float(config["n_nodes"])),
-        "in_channels": lambda: with_config("in_channels", 2.5),
-        "channels": lambda: with_config("channels", [4.0, 2, 4]),
-        "nan block": lambda: with_block(_one_nan),
-        "text block": lambda: with_block(lambda block: np.full(block.shape, "x")),
-        "complex block": lambda: with_block(lambda block: block + 1j),
+        "history_steps": (3, lambda: with_config("history_steps", "6.0")),
+        "channels": (3, lambda: with_config("channels", "4.0, 2, 4")),
+        "nan block": (7, lambda: with_block(_one_nan)),
+        "text block": (7, lambda: with_block(lambda block: np.full(block.shape, "x"))),
+        "complex block": (7, lambda: with_block(lambda block: block + 1j)),
     }
     out = tmp_path / "out"
     model_args = ["--fused", str(paths["fused.csv"]), "--adjacency",
                   str(paths["adjacency.csv"]), "--model", str(forged)]
-    for name, forge in forgeries.items():
+    for name, (want, forge) in forgeries.items():
         forge()
         for command, args in (("predict", ["--out", str(out / "forecast.csv")]),
                               ("evaluate", ["--out-dir", str(out)])):
@@ -439,22 +446,42 @@ def test_unusable_checkpoint_is_refused(scenario, tmp_path):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main([command] + model_args + args)
             lines = err.getvalue().splitlines()
-            assert code == 7, (name, command, lines)
+            assert code == want, (name, command, lines)
             assert len(lines) == 1 and "Traceback" not in lines[0], (name, command, lines)
             assert not out.exists(), (name, command)
 
 
-def _without_station_ids(meta):
-    return {key: value for key, value in meta.items() if key != "station_ids"}
+def _without(key):
+    return lambda meta: {name: value for name, value in meta.items() if name != key}
+
+
+def _config_line(key, value):
+    return lambda meta: {**meta, "config": _with_line(meta["config"], key, value)}
+
+
+def _normalization(mins):
+    return lambda meta: {**meta, "normalization": {**meta["normalization"], "mins": mins}}
+
+
+# Each forgery and a word of the one stderr line it must give.
+MALFORMED_METADATA = {
+    "no_station_ids": (_without("station_ids"), "station_ids"),
+    "int_station_ids": (lambda meta: {**meta, "station_ids": 5}, "metadata"),
+    "text_horizon_steps": (_config_line("horizon_steps", "abc"), "horizon_steps"),
+    "int_predicted_target": (_config_line("predicted_target", "5"), "predicted_target"),
+    "short_mins": (_normalization([0.0]), "normalization"),
+    "nan_mins": (_normalization([math.nan, math.nan]), "normalization"),
+    "text_split": (_config_line("split", "abc"), "split"),
+    "one_split": (_config_line("split", "1"), "split"),
+    "no_config": (_without("config"), "config"),
+    "int_config": (lambda meta: {**meta, "config": 5}, "metadata"),
+}
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
-@pytest.mark.parametrize("forge", [
-    _without_station_ids,
-    lambda meta: {**meta, "station_ids": 5},
-    lambda meta: {**meta, "horizon_steps": "abc"},
-], ids=["no_station_ids", "int_station_ids", "text_horizon_steps"])
-def test_malformed_checkpoint_metadata_exits_3_quietly(scenario, tmp_path, forge, command):
+@pytest.mark.parametrize("forge, word", MALFORMED_METADATA.values(), ids=MALFORMED_METADATA)
+def test_malformed_checkpoint_metadata_exits_3_quietly(scenario, tmp_path, forge, word,
+                                                       command):
     root, paths = scenario
     blocks, meta = load_checkpoint(root / "model" / "model.ckpt")
     forged = tmp_path / "forged.ckpt"
@@ -467,8 +494,41 @@ def test_malformed_checkpoint_metadata_exits_3_quietly(scenario, tmp_path, forge
                      str(paths["adjacency.csv"]), "--model", str(forged)] + args[command])
     lines = err.getvalue().splitlines()
     assert code == 3, lines
-    assert len(lines) == 1 and "checkpoint metadata" in lines[0], lines
+    assert len(lines) == 1, lines
+    message = lines[0].replace(str(forged), "")
+    assert "checkpoint" in message and word in message, lines
     assert not out.exists()
+
+
+EDGE_NUMBERS = ["0", "-1", "1", "2", "0.0", "-0.0", "0.9999999999999999", "5e-324", "1e308",
+                str(2**63), str(10**12), str(10**400)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(list(_PARSERS)),
+       value=st.sampled_from(BAD_TOKENS + EDGE_NUMBERS) | st.floats().map(repr))
+@example(key="history_steps", value=str(10**400))
+@example(key="graph_mode", value="first_order")
+def test_fuzzed_checkpoint_config_ends_in_a_documented_exit_code(scenario, key, value):
+    """One key of a saved checkpoint's config text gets a hostile value or a
+    number at the edge of its range: predict and evaluate end in 0, 3 or 7,
+    with at most one stderr line and no warning."""
+    root, paths = scenario
+    blocks, meta = load_checkpoint(root / "model" / "model.ckpt")
+    forged = root / "mutated" / "model.ckpt"
+    save_checkpoint(forged, blocks, {**meta, "config": _with_line(meta["config"], key, value)})
+    out = root / "out"
+    for command, args in (("predict", ["--out", str(out / "forecast.csv")]),
+                          ("evaluate", ["--out-dir", str(out)])):
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--fused", str(paths["fused.csv"]), "--adjacency",
+                             str(paths["adjacency.csv"]), "--model", str(forged)] + args)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 3, 7), (command, lines)
+        assert len(lines) <= 1 and not any("Traceback" in line for line in lines), lines
 
 
 def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path):

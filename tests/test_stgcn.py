@@ -14,6 +14,7 @@ import pytest
 
 import geofuse.stgcn as stgcn
 import geofuse.tensor as gt
+from geofuse.config import PipelineConfig, config_text, parse_config_text
 from geofuse.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from geofuse.fusion import pairwise_distances
 from geofuse.graph import build_adjacency, renormalized_adjacency, scaled_laplacian
@@ -643,16 +644,26 @@ def test_forecasts_record_nothing_on_an_active_tape():
         assert len(tape) == 0
 
 
+def _checkpoint_meta(model_config):
+    """Metadata that ``load_model`` rebuilds ``model_config`` from."""
+    text = config_text(PipelineConfig(model=model_config))
+    return {"config": text, "station_ids": [f"s{i}" for i in range(model_config.n_nodes)],
+            "target_ids": [f"t{k}" for k in range(model_config.in_channels)]}
+
+
 def test_model_checkpoint_roundtrip(tmp_path):
     model = StgcnModel(tiny_config(), seed=25)
     cheb, _ = operators(3, seed=26)
     x = np.random.default_rng(27).normal(size=(2, 6, 3, 2))
     before = model.forward(x, cheb).data
     path = tmp_path / "model.ckpt"
-    save_model(path, model, {"predicted_target": "a", "note": 1})
-    loaded, meta = load_model(path)
-    assert meta["predicted_target"] == "a"
-    assert meta["model_config"]["channels"] == [3, 2, 3]
+    meta = _checkpoint_meta(tiny_config())
+    save_model(path, model, {**meta, "note": 1})
+    loaded, loaded_meta = load_model(path)
+    assert loaded_meta["config"] == parse_config_text(meta["config"])
+    assert loaded_meta["config"].model.channels == (3, 2, 3)
+    assert loaded_meta["note"] == 1
+    assert loaded.config == tiny_config()
     after = loaded.forward(x, cheb).data
     assert np.array_equal(before, after)
     for name, p in model.parameters().items():
@@ -665,9 +676,6 @@ def test_load_model_rejects_mismatched_blocks(tmp_path):
     params = dict(model.parameters())
     params.pop("head.fc.bias")
     path = tmp_path / "broken.ckpt"
-    save_checkpoint(path, params, {"model_config": {
-        "n_nodes": 3, "in_channels": 2, "history_steps": 6,
-        "channels": [3, 2, 3], "time_kernel": 2, "graph_kernel": 2,
-        "graph_mode": "chebyshev", "dropout": 0.0}})
+    save_checkpoint(path, params, _checkpoint_meta(tiny_config()))
     with pytest.raises(ValidationError, match="parameter names"):
         load_model(path)

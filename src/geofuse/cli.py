@@ -112,12 +112,9 @@ def _ensure_dir(path: str) -> Path:
 # ---------------------------------------------------------------- stages
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    """The config file with the given ``--shape-c``/``--ridge``/``--sigma`` applied."""
-    flags = {key: value for key in ("shape_c", "ridge", "sigma")
-             if (value := getattr(args, key, None)) is not None}
+    """The ``--config`` file, or the defaults when none is given."""
     with _phase(EXIT_CONFIG):
-        config = (load_config(args.config, **flags) if args.config
-                  else parse_config_text("", **flags))
+        config = load_config(args.config) if args.config else parse_config_text("")
         if args.command in ("train", "run-all") and not config.predicted_target:
             raise ConfigError("config must set predicted_target")
     return config
@@ -215,9 +212,9 @@ def _train_meta(fused: FusionMatrix, config: PipelineConfig,
 
 def _restore_context(fused: FusionMatrix, meta: dict) -> NormalizationParams:
     """Check a loaded checkpoint against the fused panel; return its scaling."""
-    if list(meta["target_ids"]) != fused.target_ids:
+    if meta["target_ids"] != fused.target_ids:
         raise ValidationError("checkpoint targets do not match the fused panel")
-    if list(meta["station_ids"]) != fused.station_ids:
+    if meta["station_ids"] != fused.station_ids:
         raise ValidationError("checkpoint stations do not match the fused panel")
     predicted = meta["config"].predicted_target
     if predicted not in fused.target_ids:
@@ -226,6 +223,10 @@ def _restore_context(fused: FusionMatrix, meta: dict) -> NormalizationParams:
         bounds = [np.asarray(meta["normalization"][k], dtype=float) for k in ("mins", "maxs")]
         if any(b.shape != (len(fused.target_ids),) or not np.isfinite(b).all() for b in bounds):
             raise ValueError(f"need {len(fused.target_ids)} finite mins and maxs")
+        with np.errstate(over="ignore"):
+            span = bounds[1] - bounds[0]
+        if not (np.isfinite(span) & (span >= 0)).all():
+            raise ValueError("each maxs - mins must be finite and >= 0")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"checkpoint normalization is malformed: {exc}")
     return NormalizationParams(fused.target_ids, *bounds)
@@ -460,15 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observations", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--shape-c", type=float)
-    p.add_argument("--ridge", type=float)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("graph", help="build the weighted station adjacency")
     p.add_argument("--stations", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--sigma", type=float)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train the forecaster on a fused panel")

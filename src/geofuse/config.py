@@ -77,8 +77,8 @@ _PARSERS = {f.name: (section, _BY_ANNOTATION[f.type])
             if f.name not in ("rbf", "model", "train", "n_nodes", "in_channels")}
 
 
-def parse_config_text(text: str, source: str = "<config>", **overrides) -> PipelineConfig:
-    """The defaults with the text's settings, then ``overrides``, applied and validated."""
+def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
+    """The defaults with the text's settings applied, validated."""
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,7 +95,7 @@ def parse_config_text(text: str, source: str = "<config>", **overrides) -> Pipel
         except ValueError as exc:
             raise ConfigError(f"{source} line {lineno}: bad value for {key}: {exc}")
     sections: dict = {}
-    for key, value in {**settings, **overrides}.items():
+    for key, value in settings.items():
         sections.setdefault(_PARSERS[key][0], {})[key] = value
     config = PipelineConfig(**sections.pop(None, {}))
     config = replace(config, **{name: replace(getattr(config, name), **values)
@@ -115,7 +115,7 @@ def config_text(config: PipelineConfig) -> str:
     return "".join(lines)
 
 
-def load_config(path, **overrides) -> PipelineConfig:
+def load_config(path) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -123,4 +123,4 @@ def load_config(path, **overrides) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
-    return parse_config_text(text, source=str(path), **overrides)
+    return parse_config_text(text, source=str(path))

@@ -50,18 +50,16 @@ def rmse(truth, pred) -> float:
 @dataclass
 class MapeResult:
     value: float    # percent
-    excluded: int   # entries skipped because |truth| <= eps
+    excluded: int   # entries skipped because |truth| <= MAPE_EPS
 
 
-def mape(truth, pred, eps: float = MAPE_EPS) -> MapeResult:
-    """Mean absolute percentage error, skipping near-zero truth entries."""
+def mape(truth, pred) -> MapeResult:
+    """Mean absolute percentage error, skipping truth entries within ``MAPE_EPS`` of zero."""
     t, p = _check_pair(truth, pred)
-    if eps < 0:
-        raise ValidationError(f"eps must be >= 0, got {eps}")
-    keep = np.abs(t) > eps
+    keep = np.abs(t) > MAPE_EPS
     excluded = int(t.size - keep.sum())
     if not keep.any():
-        raise ValidationError("every truth value is within eps of zero; MAPE undefined")
+        raise ValidationError(f"every truth value is within {MAPE_EPS:g} of zero; MAPE undefined")
     value = float(np.mean(np.abs((p[keep] - t[keep]) / t[keep]))) * 100.0
     return MapeResult(value, excluded)
 

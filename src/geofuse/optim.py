@@ -1,9 +1,10 @@
 """Adam optimizer over Tensor parameters.
 
 Standard bias-corrected form: first and second moment estimates per
-parameter, update by m_hat / (sqrt(v_hat) + eps). State lives here, not on
-the tensors, so one set of parameters can be driven by a fresh optimizer
-after a checkpoint restore.
+parameter, update by m_hat / (sqrt(v_hat) + EPS). ``BETA1``, ``BETA2`` and
+``EPS`` are the defaults of Kingma & Ba 2015 (arXiv:1412.6980); only the
+learning rate is a setting. State lives here, not on the tensors, so one set
+of parameters can be driven by a fresh optimizer after a checkpoint restore.
 """
 
 from __future__ import annotations
@@ -13,21 +14,15 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 0.001):
         if lr <= 0:
             raise ConfigError(f"adam: lr must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"adam: betas must be in [0, 1), got ({beta1}, {beta2})")
-        if eps <= 0:
-            raise ConfigError(f"adam: eps must be positive, got {eps}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -39,15 +34,15 @@ class Adam:
         the step counter still advances so bias correction stays shared.
         """
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else 0.0
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

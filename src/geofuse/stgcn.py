@@ -646,11 +646,16 @@ def load_model(path) -> tuple[StgcnModel, dict]:
     from .config import parse_config_text  # here, since config imports this module
     blocks, meta = load_checkpoint(path)
     try:
+        for key in ("station_ids", "target_ids"):
+            if not (isinstance(meta[key], list) and all(isinstance(i, str) for i in meta[key])):
+                raise ConfigError(f"{key} must be a list of strings")
+        if not isinstance(meta["config"], str):
+            raise ConfigError("config must be a string")
         meta["config"] = parse_config_text(meta["config"], source="config")
         config = replace(meta["config"].model, n_nodes=len(meta["station_ids"]),
                          in_channels=len(meta["target_ids"]))
         config.validate()   # the parse sized one node; size the model before allocating it
-    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ParseError(f"checkpoint {path}: bad or missing metadata: {exc}") from exc
     model = StgcnModel(config, seed=0)
     params = model.parameters()

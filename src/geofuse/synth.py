@@ -2,19 +2,19 @@
 
 Each target is a smooth scalar field over the unit square: a small set of
 Gaussian bumps whose centers orbit slowly, plus a constant offset. The last
-target is coupled: a mix of its own slow field and the lagged average of the
-other (faster) targets, so its future genuinely depends on channels a
-forecaster can only see through fusion. Stations are grouped into sources;
-a station reports every target its source owns, with optional observation
-noise and injected gaps.
+target is coupled: a mix of its own slow field and the average of the other
+(faster) targets ``COUPLING_LAG`` = 2 hours earlier, so its future genuinely
+depends on channels a forecaster can only see through fusion. Stations are
+grouped into sources; a station reports every target its source owns, with
+optional observation noise and injected gaps.
 
-Everything is driven by one seed, so a scenario is reproducible down to the
-byte.
+Every scenario is hourly from ``START``, 2017-01-01 00:00. Everything is
+driven by one seed, so a scenario is reproducible down to the byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -25,6 +25,8 @@ from .ingest import HOUR, OBSERVATIONS, ObservationPanel, Station, write_station
 _BUMPS = 3
 AR_RHO = 0.9                    # lag-1 correlation of the AR(1) modulation
 BUMP_RADIUS = (0.25, 0.45)      # range of the bumps' spatial scale
+COUPLING_LAG = 2                # hours the coupled target trails its drivers
+START = datetime(2017, 1, 1)    # the first hour of every scenario
 
 
 @dataclass
@@ -33,12 +35,10 @@ class SynthConfig:
     stations_per_source: tuple[int, ...] = (5, 4, 4)
     targets_per_source: tuple[int, ...] = (2, 3, 2)
     hours: int = 240
-    start: datetime = field(default_factory=lambda: datetime(2017, 1, 1))
     noise: float = 0.02
     gap_rate: float = 0.0      # chance per native cell that a gap run starts
     max_gap_len: int = 6
     coupling: float = 0.65     # exogenous share of the coupled (last) target
-    coupling_lag: int = 2
     ar_strength: float = 0.0   # stationary std of a shared AR(1) driver modulation
     placement: str = "uniform"  # "uniform" scatter or coverage-oriented "grid"
 
@@ -63,8 +63,6 @@ class SynthConfig:
             raise ConfigError(f"max_gap_len must be >= 1, got {self.max_gap_len}")
         if not 0.0 <= self.coupling <= 1.0:
             raise ConfigError(f"coupling must be in [0, 1], got {self.coupling}")
-        if self.coupling_lag < 0:
-            raise ConfigError(f"coupling_lag must be >= 0, got {self.coupling_lag}")
         if not self.ar_strength >= 0:
             raise ConfigError(f"ar_strength must be >= 0, got {self.ar_strength}")
         if self.placement not in ("uniform", "grid"):
@@ -150,13 +148,12 @@ def generate(config: SynthConfig | None = None) -> SynthResult:
     if n_targets > 1 and config.coupling > 0.0:
         drivers = truth[:, :, :-1].mean(axis=2)
         lagged = np.empty_like(drivers)
-        lag = config.coupling_lag
-        lagged[lag:] = drivers[:t_total - lag] if lag else drivers
-        lagged[:lag] = drivers[0]
+        lagged[COUPLING_LAG:] = drivers[:t_total - COUPLING_LAG]
+        lagged[:COUPLING_LAG] = drivers[0]
         truth[:, :, -1] = ((1.0 - config.coupling) * truth[:, :, -1]
                            + config.coupling * lagged)
 
-    panel = ObservationPanel(timestamps=[config.start + i * HOUR for i in range(t_total)],
+    panel = ObservationPanel(timestamps=[START + i * HOUR for i in range(t_total)],
                              stations=stations, target_ids=targets, values=truth.copy())
     native = panel.native_mask()
     values = panel.values

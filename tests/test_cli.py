@@ -1,5 +1,6 @@
 """End-to-end command line runs on small synthetic scenarios."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geofuse.cli import main
+from geofuse.cli import build_parser, main
+from geofuse.config import _PARSERS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -206,11 +208,12 @@ def test_bad_config_value_exits_2_before_any_stage(pipeline, tmp_path, setting):
 
 
 def test_bad_flag_values_exit_2(pipeline, tmp_path):
-    fused = tmp_path / "fused.csv"
     for value in ("-1", "nan"):
+        shape = tmp_path / f"shape_{value}.cfg"
+        shape.write_text(f"shape_c = {value}\n")
         code = main(["fuse", "--stations", str(pipeline["stations"]),
                      "--observations", str(pipeline["observations"]),
-                     "--out", str(fused), "--shape-c", value])
+                     "--out", str(tmp_path / "fused.csv"), "--config", str(shape)])
         assert code == 2
     manhattan = tmp_path / "manhattan.cfg"
     manhattan.write_text("distance_metric = manhattan\n")
@@ -220,7 +223,25 @@ def test_bad_flag_values_exit_2(pipeline, tmp_path):
     for flags in (["--seed", "-1"], ["--noise", "nan"]):
         code = main(["synth", "--out-dir", str(tmp_path / "synth"), *flags])
         assert code == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["manhattan.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manhattan.cfg", "shape_-1.cfg", "shape_nan.cfg"]
+
+
+def test_config_file_is_the_one_way_in(capsys):
+    """No option of a subcommand that reads --config sets a config key."""
+    subcommands, = (a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    with_config = 0
+    for name, sub in subcommands.items():
+        dests = {a.dest for a in sub._actions}
+        if "config" in dests:
+            with_config += 1
+            assert not dests & set(_PARSERS), (name, dests & set(_PARSERS))
+    assert with_config == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--stations", "s.csv", "--out", "a.csv", "--sigma", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sigma" in capsys.readouterr().err
 
 
 def test_ingest_errors_exit_3(pipeline, tmp_path, capsys):
@@ -327,8 +348,10 @@ def test_unwritable_output_exits_1(pipeline, tmp_path, capsys):
 
 
 def test_graph_errors_exit_5(pipeline, tmp_path, capsys):
+    zero_sigma = tmp_path / "sigma.cfg"
+    zero_sigma.write_text("sigma = 0.0\n")
     code = main(["graph", "--stations", str(pipeline["stations"]),
-                 "--out", str(tmp_path / "adj.csv"), "--sigma", "0.0"])
+                 "--out", str(tmp_path / "adj.csv"), "--config", str(zero_sigma)])
     assert code == 5
     # An infinite weight between the first two stations, in both directions.
     rows = [line.split(",") for line in pipeline["adjacency"].read_text().splitlines()]

@@ -11,8 +11,10 @@ for float64 distances exits 3 without one. An observation too large for
 min-max scaling to keep the other readings exits 6 from run-all and train.
 A model larger than physical memory exits 2 from the config and 3 from a
 checkpoint, before any weight is drawn. A checkpoint whose metadata is
-missing or bad (its config text, ids, scaling or predicted target, or a
-non-integer model size) exits 3, one with a parameter that is not a finite
+missing or bad (its config text, ids, scaling or predicted target, an id
+list or config of the wrong JSON type, a scaling span that overflows or is
+inverted, or a non-integer model size) exits 3 with one line naming the key
+and no warning, one with a parameter that is not a finite
 real number exits 7, and any value in one key of its config text ends in 0,
 3 or 7; and
 observations with a century between two rows exit 3 before the hourly
@@ -459,22 +461,30 @@ def _config_line(key, value):
     return lambda meta: {**meta, "config": _with_line(meta["config"], key, value)}
 
 
-def _normalization(mins):
-    return lambda meta: {**meta, "normalization": {**meta["normalization"], "mins": mins}}
+def _normalization(**bounds):
+    return lambda meta: {**meta, "normalization": {**meta["normalization"], **bounds}}
+
+
+def _swapped_bounds(meta):
+    bounds = meta["normalization"]
+    return {**meta, "normalization": {"mins": bounds["maxs"], "maxs": bounds["mins"]}}
 
 
 # Each forgery and a word of the one stderr line it must give.
 MALFORMED_METADATA = {
     "no_station_ids": (_without("station_ids"), "station_ids"),
-    "int_station_ids": (lambda meta: {**meta, "station_ids": 5}, "metadata"),
+    "int_station_ids": (lambda meta: {**meta, "station_ids": 5}, "station_ids"),
+    "text_target_ids": (lambda meta: {**meta, "target_ids": "t01"}, "target_ids"),
     "text_horizon_steps": (_config_line("horizon_steps", "abc"), "horizon_steps"),
     "int_predicted_target": (_config_line("predicted_target", "5"), "predicted_target"),
-    "short_mins": (_normalization([0.0]), "normalization"),
-    "nan_mins": (_normalization([math.nan, math.nan]), "normalization"),
+    "short_mins": (_normalization(mins=[0.0]), "normalization"),
+    "nan_mins": (_normalization(mins=[math.nan, math.nan]), "normalization"),
+    "overflowing_span": (_normalization(mins=[-1e308] * 2, maxs=[1e308] * 2), "normalization"),
+    "inverted_bounds": (_swapped_bounds, "normalization"),
     "text_split": (_config_line("split", "abc"), "split"),
     "one_split": (_config_line("split", "1"), "split"),
     "no_config": (_without("config"), "config"),
-    "int_config": (lambda meta: {**meta, "config": 5}, "metadata"),
+    "int_config": (lambda meta: {**meta, "config": 5}, "config"),
 }
 
 
@@ -489,9 +499,11 @@ def test_malformed_checkpoint_metadata_exits_3_quietly(scenario, tmp_path, forge
     out = tmp_path / "out"
     args = {"predict": ["--out", str(out / "forecast.csv")], "evaluate": ["--out-dir", str(out)]}
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, "--fused", str(paths["fused.csv"]), "--adjacency",
-                     str(paths["adjacency.csv"]), "--model", str(forged)] + args[command])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--fused", str(paths["fused.csv"]), "--adjacency",
+                         str(paths["adjacency.csv"]), "--model", str(forged)] + args[command])
     lines = err.getvalue().splitlines()
     assert code == 3, lines
     assert len(lines) == 1, lines

@@ -67,10 +67,6 @@ def test_config_validation():
     p = gt.Tensor([0.0], requires_grad=True)
     with pytest.raises(ConfigError):
         Adam([p], lr=0.0)
-    with pytest.raises(ConfigError):
-        Adam([p], beta1=1.0)
-    with pytest.raises(ConfigError):
-        Adam([p], eps=0.0)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

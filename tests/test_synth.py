@@ -6,7 +6,7 @@ import pytest
 from geofuse.cli import main
 from geofuse.errors import ConfigError
 from geofuse.ingest import load_observations, load_stations
-from geofuse.synth import SynthConfig, generate, write_scenario_csvs
+from geofuse.synth import COUPLING_LAG, SynthConfig, generate, write_scenario_csvs
 
 
 def test_default_scenario_structure():
@@ -58,18 +58,13 @@ def test_noiseless_panel_equals_truth_at_native_cells():
 
 
 def test_coupled_target_mixes_lagged_driver_mean():
-    # With full coupling and no lag the last channel IS the driver mean.
-    result = generate(SynthConfig(coupling=1.0, coupling_lag=0, noise=0.0,
-                                  hours=60))
-    drivers = result.truth[:, :, :-1].mean(axis=2)
-    assert np.allclose(result.truth[:, :, -1], drivers, atol=1e-12)
-
-    lagged = generate(SynthConfig(coupling=1.0, coupling_lag=2, noise=0.0,
-                                  hours=60))
+    # With full coupling the last channel IS the driver mean, COUPLING_LAG hours late.
+    lag = COUPLING_LAG
+    lagged = generate(SynthConfig(coupling=1.0, noise=0.0, hours=60))
     drv = lagged.truth[:, :, :-1].mean(axis=2)
-    assert np.allclose(lagged.truth[2:, :, -1], drv[:-2], atol=1e-12)
-    assert np.allclose(lagged.truth[0, :, -1], drv[0], atol=1e-12)
-    assert np.allclose(lagged.truth[1, :, -1], drv[0], atol=1e-12)
+    assert np.allclose(lagged.truth[lag:, :, -1], drv[:-lag], atol=1e-12)
+    for t in range(lag):
+        assert np.allclose(lagged.truth[t, :, -1], drv[0], atol=1e-12)
 
     mixed = generate(SynthConfig(coupling=0.0, noise=0.0, hours=60))
     assert not np.allclose(mixed.truth[:, :, -1],

@@ -1,15 +1,15 @@
 """Model checkpoints: named float64 parameter blocks plus a JSON metadata dict.
 
-The container is an npz archive written through an open file handle so the
-target path keeps its own extension. Float64 blocks survive a save/load
-round trip bit for bit.
+The container is an npz archive that ``np.savez`` writes straight into an open
+file, so the target path keeps its own extension. Float64 blocks survive a
+save/load round trip bit for bit. This module knows only the container:
+``stgcn.save_model`` chooses the metadata keys and ``stgcn.load_model`` checks
+them.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -27,21 +27,18 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
     """
     if _META_KEY in params:
         raise ValidationError(f"checkpoint: parameter name {_META_KEY!r} is reserved")
-    blocks = {}
-    for name, value in params.items():
-        data = value.data if isinstance(value, Tensor) else value
-        blocks[name] = np.asarray(data, dtype=np.float64)
+    blocks = {name: np.asarray(value.data if isinstance(value, Tensor) else value,
+                               dtype=np.float64) for name, value in params.items()}
     blocks[_META_KEY] = np.frombuffer(
         json.dumps(meta or {}, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    buf = io.BytesIO()
-    np.savez(buf, **blocks)
-    Path(path).write_bytes(buf.getvalue())
+    with open(path, "wb") as fh:
+        np.savez(fh, **blocks)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (params, meta). Raises ValidationError on a foreign file."""
     try:
-        with np.load(Path(path), allow_pickle=False) as archive:
+        with np.load(path, allow_pickle=False) as archive:
             if _META_KEY not in archive:
                 raise ValidationError(f"checkpoint: {path} has no metadata block")
             meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, config_text, load_config, parse_config_text
+from .config import PipelineConfig, load_config, parse_config_text
 from .errors import (
     ConfigError,
     FusionError,
@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .fusion import FusionMatrix, RbfConfig, fuse_panel, pairwise_distances
-from .graph import build_adjacency, renormalized_adjacency, scaled_laplacian
+from .graph import build_adjacency
 from .ingest import (
     HOUR,
     NormalizationParams,
@@ -57,8 +57,8 @@ from .io import (
 from .metrics import consistency_report, mae, mape, r2, rmse
 from .stgcn import (
     StgcnModel,
+    graph_operator,
     load_model,
-    operator_kind,
     predict,
     predict_series,
     save_model,
@@ -87,10 +87,10 @@ def _code_for(exc: GeofuseError, default: int) -> int:
 
 @contextmanager
 def _phase(default_code: int):
-    """Tag any pipeline error inside the block with its exit code; the innermost phase wins."""
+    """Tag a pipeline or floating-point error with its exit code; the innermost phase wins."""
     try:
         yield
-    except GeofuseError as exc:
+    except (GeofuseError, FloatingPointError) as exc:
         if not hasattr(exc, "exit_code"):
             exc.exit_code = _code_for(exc, default_code)
         raise
@@ -150,9 +150,7 @@ def _adjacency_from_stations(stations, sigma, metric: str):
 
 def _operator(matrix: np.ndarray, graph_mode: str):
     with _phase(EXIT_GRAPH):
-        if operator_kind(graph_mode) == "scaled_laplacian":
-            return scaled_laplacian(matrix)
-        return renormalized_adjacency(matrix)
+        return graph_operator(matrix, graph_mode)
 
 
 def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
@@ -198,40 +196,6 @@ def _fit(fused: FusionMatrix, dataset, op, config: PipelineConfig):
     return model, result
 
 
-def _train_meta(fused: FusionMatrix, config: PipelineConfig,
-                norm: NormalizationParams, result) -> dict:
-    return {
-        "config": config_text(config),
-        "target_ids": fused.target_ids,
-        "station_ids": fused.station_ids,
-        "normalization": {"mins": norm.mins.tolist(), "maxs": norm.maxs.tolist()},
-        "best_epoch": result.best_epoch,
-        "best_val_loss": result.best_val_loss,
-    }
-
-
-def _restore_context(fused: FusionMatrix, meta: dict) -> NormalizationParams:
-    """Check a loaded checkpoint against the fused panel; return its scaling."""
-    if meta["target_ids"] != fused.target_ids:
-        raise ValidationError("checkpoint targets do not match the fused panel")
-    if meta["station_ids"] != fused.station_ids:
-        raise ValidationError("checkpoint stations do not match the fused panel")
-    predicted = meta["config"].predicted_target
-    if predicted not in fused.target_ids:
-        raise ValidationError(f"checkpoint predicted_target {predicted!r} is not a target")
-    try:
-        bounds = [np.asarray(meta["normalization"][k], dtype=float) for k in ("mins", "maxs")]
-        if any(b.shape != (len(fused.target_ids),) or not np.isfinite(b).all() for b in bounds):
-            raise ValueError(f"need {len(fused.target_ids)} finite mins and maxs")
-        with np.errstate(over="ignore"):
-            span = bounds[1] - bounds[0]
-        if not (np.isfinite(span) & (span >= 0)).all():
-            raise ValueError("each maxs - mins must be finite and >= 0")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"checkpoint normalization is malformed: {exc}")
-    return NormalizationParams(fused.target_ids, *bounds)
-
-
 def _metric_row(horizon, truth: np.ndarray, pred: np.ndarray) -> dict:
     mp = mape(truth, pred)
     return {"horizon": horizon, "mae": mae(truth, pred), "rmse": rmse(truth, pred),
@@ -246,7 +210,7 @@ def _metric_rows(truth: np.ndarray, pred: np.ndarray) -> list[dict]:
 
 def _evaluate(model: StgcnModel, dataset, op, norm: NormalizationParams) -> list[dict]:
     """Accuracy of the model's rollout on the dataset's test windows."""
-    with _phase(EXIT_EVALUATION):
+    with _phase(EXIT_EVALUATION), np.errstate(over="raise", invalid="raise"):
         _, test_y = dataset.part("test")
         if test_y.shape[0] == 0:
             raise ValidationError("test split is empty; nothing to evaluate")
@@ -317,7 +281,7 @@ def cmd_train(args) -> int:
     dataset, norm = _prepare_dataset(fused, config)
     model, result = _fit(fused, dataset, op, config)
     out = _ensure_dir(args.out_dir)
-    save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
+    save_model(out / "model.ckpt", model, config, fused.station_ids, norm, result)
     write_history_csv(result.history, out / "history.csv")
     last = result.history[-1]
     print(f"train: {len(result.history)} epochs, best epoch {result.best_epoch} "
@@ -327,14 +291,18 @@ def cmd_train(args) -> int:
 
 
 def _load_model_context(args):
-    """Inputs and checkpoint metadata exit 3; a non-checkpoint or unfit weights exit 7."""
+    """Bad inputs, checkpoint metadata or ids exit 3; a non-checkpoint or unfit weights exit 7."""
     with _phase(EXIT_INGEST):
         fused, adj_matrix = _read_fused_and_adjacency(args)
     with _phase(EXIT_EVALUATION):
         model, meta = load_model(args.model)
     with _phase(EXIT_INGEST):
-        norm = _restore_context(fused, meta)
+        if meta["target_ids"] != fused.target_ids:
+            raise ValidationError("checkpoint targets do not match the fused panel")
+        if meta["station_ids"] != fused.station_ids:
+            raise ValidationError("checkpoint stations do not match the fused panel")
     op = _operator(adj_matrix, model.config.graph_mode)
+    norm = NormalizationParams(fused.target_ids, **meta["normalization"])
     return fused, model, op, norm, meta["config"]
 
 
@@ -342,7 +310,7 @@ def cmd_predict(args) -> int:
     fused, model, op, norm, config = _load_model_context(args)
     predicted = config.predicted_target
     horizon = config.horizon_steps if args.horizon is None else args.horizon
-    with _phase(EXIT_EVALUATION):
+    with _phase(EXIT_EVALUATION), np.errstate(over="raise", invalid="raise"):
         n_hours = fused.values.shape[0]
         if not 1 <= horizon <= n_hours:
             raise ValidationError(
@@ -415,7 +383,7 @@ def cmd_run_all(args) -> int:
     write_fused_csv(fused, out / "fused.csv")
     write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")
     model, result = _fit(fused, dataset, op, config)
-    save_model(out / "model.ckpt", model, _train_meta(fused, config, norm, result))
+    save_model(out / "model.ckpt", model, config, fused.station_ids, norm, result)
     write_history_csv(result.history, out / "history.csv")
     rows = _evaluate(model, dataset, op, norm)
     write_metrics_csv(rows, out / "metrics.csv")
@@ -517,7 +485,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeofuseError, OSError) as exc:
+    except (GeofuseError, OSError, FloatingPointError) as exc:
         print(f"geofuse {args.command}: {exc}", file=sys.stderr)
         # An error that escaped every phase came from writing an output.
         return getattr(exc, "exit_code", _code_for(exc, EXIT_OUTPUT))

@@ -446,7 +446,6 @@ class WindowedDataset:
     history_steps: int
     horizon_steps: int
     predicted_target: str
-    station_ids: list[str]
     target_ids: list[str]
     n_train: int
     n_val: int
@@ -488,13 +487,17 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
 
     A window starting at row i uses rows [i, i+P) as input and the predicted
     target at rows [i+P, i+P+Q) as supervision; with T rows there are
-    T - P - Q + 1 windows. ``values`` must be complete, as a fused panel is:
-    a missing cell is a ValidationError. The dataset keeps a read-only copy
-    of ``values`` as ``rows``, and its inputs are a view of them.
+    T - P - Q + 1 windows. ``values`` is (T, S, K) for the S ``station_ids``
+    and K ``target_ids``, complete as a fused panel is; another shape or a
+    missing cell is a ValidationError. The dataset keeps a read-only copy of
+    ``values`` as ``rows``, and its inputs are a view of them.
     """
     p, q = history_steps, horizon_steps
     if p < 1 or q < 1:
         raise ValidationError(f"history and horizon must be >= 1, got ({p}, {q})")
+    if values.shape[1:] != (len(station_ids), len(target_ids)):
+        raise ValidationError(f"values of shape {values.shape} do not match "
+                              f"{len(station_ids)} stations and {len(target_ids)} targets")
     if predicted_target not in target_ids:
         raise ValidationError(f"predicted target {predicted_target!r} not in panel targets")
     check_split(split)
@@ -523,7 +526,6 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
         history_steps=p,
         horizon_steps=q,
         predicted_target=predicted_target,
-        station_ids=list(station_ids),
         target_ids=list(target_ids),
         n_train=n_train,
         n_val=n_val,

@@ -48,8 +48,10 @@ from __future__ import annotations
 import ctypes
 import operator
 import os
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,15 +59,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ParseError, ShapeError, TrainingError, ValidationError
-from .graph import GraphOperator
-from .ingest import WindowedDataset
+from .graph import GraphOperator, renormalized_adjacency, scaled_laplacian
+from .ingest import NormalizationParams, WindowedDataset
 from .optim import Adam
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig  # config imports this module
 
 _MODE_TO_OPERATOR = {
     "chebyshev": "scaled_laplacian",
     "first_order": "renormalized_adjacency",
 }
+
+
+def graph_operator(adjacency, graph_mode: str) -> GraphOperator:
+    """The operator a model in a valid ``graph_mode`` consumes, built from ``adjacency``."""
+    kind = _MODE_TO_OPERATOR[graph_mode]
+    return (scaled_laplacian if kind == "scaled_laplacian" else renormalized_adjacency)(adjacency)
 
 
 @dataclass
@@ -94,7 +105,9 @@ class ModelConfig:
             raise ConfigError(f"channels must be three positive ints, got {self.channels}")
         if self.time_kernel < 1:
             raise ConfigError(f"time_kernel must be >= 1, got {self.time_kernel}")
-        operator_kind(self.graph_mode)  # rejects an unknown mode
+        if self.graph_mode not in _MODE_TO_OPERATOR:
+            raise ConfigError(f"graph_mode must be one of {tuple(_MODE_TO_OPERATOR)}, "
+                              f"got {self.graph_mode!r}")
         if self.graph_mode == "first_order" and self.graph_kernel != 1:
             raise ConfigError("first_order mode uses graph_kernel=1")
         if self.graph_kernel < 1:
@@ -140,14 +153,6 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-
-
-def operator_kind(graph_mode: str) -> str:
-    """Kind of the GraphOperator a model in ``graph_mode`` consumes."""
-    if graph_mode not in _MODE_TO_OPERATOR:
-        raise ConfigError(
-            f"graph_mode must be one of {tuple(_MODE_TO_OPERATOR)}, got {graph_mode!r}")
-    return _MODE_TO_OPERATOR[graph_mode]
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
@@ -292,7 +297,7 @@ class StgcnModel:
     def _basis(self, op: GraphOperator) -> np.ndarray:
         """Check the operator; return the graph basis."""
         cfg = self.config
-        kind = operator_kind(cfg.graph_mode)
+        kind = _MODE_TO_OPERATOR[cfg.graph_mode]
         if op.kind != kind:
             raise ValidationError(
                 f"model in {cfg.graph_mode!r} mode needs a {kind} operator, got {op.kind!r}")
@@ -636,13 +641,25 @@ def _rollout(model: StgcnModel, rows: np.ndarray, op: GraphOperator, horizon: in
     return out
 
 
-def save_model(path, model: StgcnModel, meta: dict) -> None:
-    """Checkpoint parameters plus metadata whose ``config`` rebuilds the model."""
-    save_checkpoint(path, model.parameters(), meta)
+def save_model(path, model: StgcnModel, config: PipelineConfig, station_ids: list[str],
+               norm: NormalizationParams, result: TrainResult) -> None:
+    """Checkpoint the parameters and the run: its config as config text, its ids
+    and scaling, which ``load_model`` checks, and its best epoch, a record."""
+    from .config import config_text  # here, since config imports this module
+    save_checkpoint(path, model.parameters(), {
+        "config": config_text(config), "station_ids": station_ids,
+        "target_ids": norm.target_ids,
+        "normalization": {"mins": norm.mins.tolist(), "maxs": norm.maxs.tolist()},
+        "best_epoch": result.best_epoch, "best_val_loss": result.best_val_loss})
 
 
 def load_model(path) -> tuple[StgcnModel, dict]:
-    """Rebuild a model from a checkpoint; ``meta["config"]`` comes back parsed."""
+    """Rebuild a model from a ``save_model`` checkpoint; return it and its metadata.
+
+    Each metadata fault is one ParseError naming the key, and then a block that does
+    not fit the model a ValidationError. ``meta["config"]`` comes back parsed and
+    ``meta["normalization"]`` as float arrays.
+    """
     from .config import parse_config_text  # here, since config imports this module
     blocks, meta = load_checkpoint(path)
     try:
@@ -652,8 +669,22 @@ def load_model(path) -> tuple[StgcnModel, dict]:
         if not isinstance(meta["config"], str):
             raise ConfigError("config must be a string")
         meta["config"] = parse_config_text(meta["config"], source="config")
-        config = replace(meta["config"].model, n_nodes=len(meta["station_ids"]),
-                         in_channels=len(meta["target_ids"]))
+        predicted, n = meta["config"].predicted_target, len(meta["target_ids"])
+        if predicted not in meta["target_ids"]:
+            raise ConfigError(f"predicted_target {predicted!r} is not one of the target_ids")
+        scaling = meta["normalization"]
+        bounds = [scaling.get(k) for k in ("mins", "maxs")] if isinstance(scaling, dict) else [0]
+        if not all(isinstance(b, list) and len(b) == n and all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in b)
+                for b in bounds):
+            raise ConfigError(f"normalization needs {n} finite JSON numbers in mins and maxs")
+        mins, maxs = np.array(bounds, dtype=float)
+        with np.errstate(over="ignore"):
+            span = maxs - mins
+        if not (np.isfinite(span) & (span >= 0)).all():
+            raise ConfigError("normalization: each maxs - mins must be finite and >= 0")
+        meta["normalization"] = {"mins": mins, "maxs": maxs}
+        config = replace(meta["config"].model, n_nodes=len(meta["station_ids"]), in_channels=n)
         config.validate()   # the parse sized one node; size the model before allocating it
     except (KeyError, TypeError, ConfigError) as exc:
         raise ParseError(f"checkpoint {path}: bad or missing metadata: {exc}") from exc

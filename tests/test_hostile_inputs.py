@@ -12,11 +12,12 @@ min-max scaling to keep the other readings exits 6 from run-all and train.
 A model larger than physical memory exits 2 from the config and 3 from a
 checkpoint, before any weight is drawn. A checkpoint whose metadata is
 missing or bad (its config text, ids, scaling or predicted target, an id
-list or config of the wrong JSON type, a scaling span that overflows or is
-inverted, or a non-integer model size) exits 3 with one line naming the key
-and no warning, one with a parameter that is not a finite
-real number exits 7, and any value in one key of its config text ends in 0,
-3 or 7; and
+list, config or scaling of the wrong JSON type, a scaling span that
+overflows or is inverted, or a non-integer model size) exits 3 with one line
+naming the key and no warning, one with a parameter that is not a finite
+real number exits 7, and any value in one key of its config text, any JSON
+value in one key of its other metadata, and one parameter block replaced,
+reshaped, retyped, dropped or added each end in 0, 3 or 7; and
 observations with a century between two rows exit 3 before the hourly
 grid is allocated. A station id that the unquoted artifacts cannot carry
 exits 3 quietly, and a target that reads one constant value everywhere is
@@ -465,6 +466,11 @@ def _normalization(**bounds):
     return lambda meta: {**meta, "normalization": {**meta["normalization"], **bounds}}
 
 
+def _text_mins(meta):
+    bounds = meta["normalization"]
+    return {**meta, "normalization": {**bounds, "mins": [str(v) for v in bounds["mins"]]}}
+
+
 def _swapped_bounds(meta):
     bounds = meta["normalization"]
     return {**meta, "normalization": {"mins": bounds["maxs"], "maxs": bounds["mins"]}}
@@ -481,6 +487,8 @@ MALFORMED_METADATA = {
     "nan_mins": (_normalization(mins=[math.nan, math.nan]), "normalization"),
     "overflowing_span": (_normalization(mins=[-1e308] * 2, maxs=[1e308] * 2), "normalization"),
     "inverted_bounds": (_swapped_bounds, "normalization"),
+    "text_mins": (_text_mins, "normalization"),
+    "bool_maxs": (_normalization(mins=[0.0, 0.0], maxs=[True, True]), "normalization"),
     "text_split": (_config_line("split", "abc"), "split"),
     "one_split": (_config_line("split", "1"), "split"),
     "no_config": (_without("config"), "config"),
@@ -512,6 +520,22 @@ def test_malformed_checkpoint_metadata_exits_3_quietly(scenario, tmp_path, forge
     assert not out.exists()
 
 
+def _model_commands_end_quietly(paths, model, out):
+    """predict and evaluate on ``model`` end in 0, 3 or 7, with at most one
+    stderr line and no traceback; any warning fails."""
+    for command, args in (("predict", ["--out", str(out / "forecast.csv")]),
+                          ("evaluate", ["--out-dir", str(out)])):
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--fused", str(paths["fused.csv"]), "--adjacency",
+                             str(paths["adjacency.csv"]), "--model", str(model)] + args)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 3, 7), (command, lines)
+        assert len(lines) <= 1 and not any("Traceback" in line for line in lines), lines
+
+
 EDGE_NUMBERS = ["0", "-1", "1", "2", "0.0", "-0.0", "0.9999999999999999", "5e-324", "1e308",
                 str(2**63), str(10**12), str(10**400)]
 
@@ -529,18 +553,91 @@ def test_fuzzed_checkpoint_config_ends_in_a_documented_exit_code(scenario, key, 
     blocks, meta = load_checkpoint(root / "model" / "model.ckpt")
     forged = root / "mutated" / "model.ckpt"
     save_checkpoint(forged, blocks, {**meta, "config": _with_line(meta["config"], key, value)})
-    out = root / "out"
-    for command, args in (("predict", ["--out", str(out / "forecast.csv")]),
-                          ("evaluate", ["--out-dir", str(out)])):
-        err = io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([command, "--fused", str(paths["fused.csv"]), "--adjacency",
-                             str(paths["adjacency.csv"]), "--model", str(forged)] + args)
-        lines = err.getvalue().splitlines()
-        assert code in (0, 3, 7), (command, lines)
-        assert len(lines) <= 1 and not any("Traceback" in line for line in lines), lines
+    _model_commands_end_quietly(paths, forged, root / "out")
+
+
+# Any JSON value: scalars of each JSON type, and short lists and objects of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["t01", "s01", "3.1"]) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["mins", "maxs"]), inner, max_size=2)),
+    max_leaves=4)
+
+# (key, edit, index, value): the key of a checkpoint's metadata, or of its
+# normalization for mins and maxs, is set to the value, deleted, has its entry
+# at the index (modulo its length) set to the value, or gets a sibling key.
+META_FORGES = st.tuples(
+    st.sampled_from(["station_ids", "target_ids", "normalization", "mins", "maxs",
+                     "best_epoch", "best_val_loss"]),
+    st.sampled_from(["set", "delete", "entry", "extra"]), st.integers(0, 9), JSON_VALUES)
+
+# Each way to forge one parameter block, given a number.
+BLOCK_FORGERIES = {
+    "fill": lambda block, x: np.full(block.shape, x),
+    "first": lambda block, x: np.concatenate([[x], block.ravel()[1:]]).reshape(block.shape),
+    "flatten": lambda block, x: block.ravel(),
+    "double": lambda block, x: np.concatenate([block, block]),
+    "0-d": lambda block, x: np.asarray(x),
+    "int": lambda block, x: block.astype(np.int64),
+    "bool": lambda block, x: block > 0,
+    "complex": lambda block, x: block + 1j,
+    "text": lambda block, x: block.astype(str),
+}
+
+# (index, edit, number): the parameter block at the index (modulo their count)
+# is forged, dropped, or joined by a copy under a new name.
+BLOCK_FORGES = st.tuples(st.integers(0, 99),
+                         st.sampled_from(list(BLOCK_FORGERIES) + ["drop", "add"]), st.floats())
+
+
+def _forge_metadata(meta, key, edit, index, value):
+    owner = meta["normalization"] if key in ("mins", "maxs") else meta
+    if edit == "set":
+        owner[key] = value
+    elif edit == "delete":
+        del owner[key]
+    elif edit == "extra":
+        owner[key + "_extra"] = value
+    elif isinstance(owner[key], list):
+        owner[key][index % len(owner[key])] = value
+    elif isinstance(owner[key], dict):
+        owner[key][sorted(owner[key])[index % 2]] = value
+    else:
+        owner[key] = value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(forge=META_FORGES | BLOCK_FORGES)
+@example(forge=(0, "fill", 1e210))
+@example(forge=("normalization", "entry", 0, ["3.1", "3.1"]))
+def test_fuzzed_checkpoint_ends_in_a_documented_exit_code(scenario, forge):
+    """One metadata key of a saved checkpoint gets any JSON value, is deleted or
+    gets a sibling, or one parameter block is replaced, reshaped, retyped,
+    dropped or added: predict and evaluate end in 0, 3 or 7, with at most one
+    stderr line and no warning."""
+    root, paths = scenario
+    saved, forged = root / "model" / "model.ckpt", root / "mutated" / "model.ckpt"
+    if isinstance(forge[0], str):
+        blocks, meta = load_checkpoint(saved)
+        _forge_metadata(meta, *forge)
+        save_checkpoint(forged, blocks, meta)
+    else:
+        index, edit, x = forge
+        # Written past save_checkpoint, which would cast every block to float64.
+        with np.load(saved) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        name = sorted(key for key in arrays if key != "__meta__")[index % (len(arrays) - 1)]
+        if edit == "drop":
+            del arrays[name]
+        elif edit == "add":
+            arrays[name + "_extra"] = arrays[name]
+        else:
+            with np.errstate(all="ignore"):
+                arrays[name] = BLOCK_FORGERIES[edit](arrays[name], x)
+        with open(forged, "wb") as fh:
+            np.savez(fh, **arrays)
+    _model_commands_end_quietly(paths, forged, root / "out")
 
 
 def test_century_gap_is_refused_before_the_grid_is_allocated(scenario, tmp_path):

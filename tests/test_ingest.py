@@ -412,3 +412,8 @@ def test_make_windows_errors():
         make_windows(np.zeros((9, 1, 1)), ["s"], ["t"], 3, 2, "t", split=(0.5, 0.2, 0.2))
     with pytest.raises(ValidationError, match="missing"):
         make_windows(np.full((9, 1, 1), np.nan), ["s"], ["t"], 3, 2, "t")
+    # The id lists must fit the station and target axes of the values.
+    with pytest.raises(ValidationError, match="1 stations and 2 targets"):
+        make_windows(np.zeros((9, 1, 1)), ["s"], ["t", "u"], 3, 2, "t")
+    with pytest.raises(ValidationError, match="2 stations and 1 targets"):
+        make_windows(np.zeros((9, 1, 1)), ["s", "r"], ["t"], 3, 2, "t")

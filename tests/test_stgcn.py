@@ -18,13 +18,14 @@ from geofuse.config import PipelineConfig, config_text, parse_config_text
 from geofuse.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from geofuse.fusion import pairwise_distances
 from geofuse.graph import build_adjacency, renormalized_adjacency, scaled_laplacian
-from geofuse.ingest import make_windows
+from geofuse.ingest import NormalizationParams, make_windows
 from geofuse.optim import Adam
 from geofuse.stgcn import (
     GraphConv,
     ModelConfig,
     StgcnModel,
     TrainConfig,
+    TrainResult,
     l2_loss,
     load_model,
     predict,
@@ -644,11 +645,13 @@ def test_forecasts_record_nothing_on_an_active_tape():
         assert len(tape) == 0
 
 
-def _checkpoint_meta(model_config):
-    """Metadata that ``load_model`` rebuilds ``model_config`` from."""
-    text = config_text(PipelineConfig(model=model_config))
-    return {"config": text, "station_ids": [f"s{i}" for i in range(model_config.n_nodes)],
-            "target_ids": [f"t{k}" for k in range(model_config.in_channels)]}
+def _run_record(model_config):
+    """``save_model``'s arguments after the model, for a run of ``model_config``."""
+    targets = [f"t{k}" for k in range(model_config.in_channels)]
+    norm = NormalizationParams(targets, np.linspace(-1.0, 0.0, len(targets)),
+                               np.linspace(1.0, 2.5, len(targets)))
+    return (PipelineConfig(predicted_target=targets[-1], model=model_config),
+            [f"s{i}" for i in range(model_config.n_nodes)], norm, TrainResult([], 4, 0.25))
 
 
 def test_model_checkpoint_roundtrip(tmp_path):
@@ -657,12 +660,15 @@ def test_model_checkpoint_roundtrip(tmp_path):
     x = np.random.default_rng(27).normal(size=(2, 6, 3, 2))
     before = model.forward(x, cheb).data
     path = tmp_path / "model.ckpt"
-    meta = _checkpoint_meta(tiny_config())
-    save_model(path, model, {**meta, "note": 1})
-    loaded, loaded_meta = load_model(path)
-    assert loaded_meta["config"] == parse_config_text(meta["config"])
-    assert loaded_meta["config"].model.channels == (3, 2, 3)
-    assert loaded_meta["note"] == 1
+    config, station_ids, norm, result = _run_record(tiny_config())
+    save_model(path, model, config, station_ids, norm, result)
+    loaded, meta = load_model(path)
+    assert meta["config"] == parse_config_text(config_text(config))
+    assert meta["config"].model.channels == (3, 2, 3)
+    assert (meta["station_ids"], meta["target_ids"]) == (station_ids, norm.target_ids)
+    for key in ("mins", "maxs"):
+        assert meta["normalization"][key].tobytes() == getattr(norm, key).tobytes()
+    assert (meta["best_epoch"], meta["best_val_loss"]) == (4, 0.25)
     assert loaded.config == tiny_config()
     after = loaded.forward(x, cheb).data
     assert np.array_equal(before, after)
@@ -671,11 +677,11 @@ def test_model_checkpoint_roundtrip(tmp_path):
 
 
 def test_load_model_rejects_mismatched_blocks(tmp_path):
-    from geofuse.checkpoint import save_checkpoint
-    model = StgcnModel(tiny_config(), seed=28)
-    params = dict(model.parameters())
-    params.pop("head.fc.bias")
+    from geofuse.checkpoint import load_checkpoint, save_checkpoint
     path = tmp_path / "broken.ckpt"
-    save_checkpoint(path, params, _checkpoint_meta(tiny_config()))
+    save_model(path, StgcnModel(tiny_config(), seed=28), *_run_record(tiny_config()))
+    params, meta = load_checkpoint(path)
+    params.pop("head.fc.bias")
+    save_checkpoint(path, params, meta)
     with pytest.raises(ValidationError, match="parameter names"):
         load_model(path)

@@ -154,17 +154,11 @@ def _operator(matrix: np.ndarray, graph_mode: str):
 
 
 def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
-    """Normalize on the training time range and window the fused panel."""
+    """Normalize on the training windows' rows, as ``make_windows`` will split them,
+    and window the fused panel; an empty training or validation split exits 6."""
     p, q = config.model.history_steps, config.horizon_steps
     with _phase(EXIT_TRAINING):
-        n_windows = fused.values.shape[0] - p - q + 1
-        if n_windows < 1:
-            raise TrainingError(
-                f"fused panel has {fused.values.shape[0]} rows; too short for "
-                f"history {p} + horizon {q}")
-        n_train = round(config.split[0] * n_windows)
-        if n_train < 1:
-            raise TrainingError("training split is empty")
+        n_train = round(config.split[0] * (fused.values.shape[0] - p - q + 1))
         train_rows = min(fused.values.shape[0], n_train - 1 + p + q)
         norm = fit_normalization(fused.values, fused.target_ids, train_rows)
         # Refuse a target whose scale one outlier stretches until the rest round away.
@@ -178,7 +172,9 @@ def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
                     raise TrainingError(
                         f"target {tid!r} spans {norm.mins[k]:.6g} to {norm.maxs[k]:.6g} in "
                         "the training rows; min-max scaling cannot keep its other readings")
-        return _windows(fused, norm, config), norm
+        dataset = _windows(fused, norm, config)
+        dataset.part("train"), dataset.part("val")
+        return dataset, norm
 
 
 def _windows(fused: FusionMatrix, norm: NormalizationParams, config: PipelineConfig):
@@ -212,8 +208,6 @@ def _evaluate(model: StgcnModel, dataset, op, norm: NormalizationParams) -> list
     """Accuracy of the model's rollout on the dataset's test windows."""
     with _phase(EXIT_EVALUATION), np.errstate(over="raise", invalid="raise"):
         _, test_y = dataset.part("test")
-        if test_y.shape[0] == 0:
-            raise ValidationError("test split is empty; nothing to evaluate")
         predicted = dataset.predicted_target
         k = dataset.target_ids.index(predicted)
         pred_norm = predict_series(model, dataset.series("test"), op,
@@ -379,6 +373,8 @@ def cmd_run_all(args) -> int:
                                          config.rbf.distance_metric)
     op = _operator(adjacency.values, config.model.graph_mode)
     dataset, norm = _prepare_dataset(fused, config)
+    with _phase(EXIT_EVALUATION):
+        dataset.part("test")
     out = _ensure_dir(args.out_dir)
     write_fused_csv(fused, out / "fused.csv")
     write_adjacency_csv(adjacency.values, fused.station_ids, out / "adjacency.csv")

@@ -33,6 +33,9 @@ SHORT = "%.10g"  # reports and forecasts
 OBSERVATIONS_HEADER = ("timestamp", "station_id", "target_id", "value")
 HOUR = timedelta(hours=1)
 DEFAULT_SPLIT = (0.6, 0.2, 0.2)  # train, validation and test fractions
+EMPTY_SPLIT = {"train": "training split is empty",
+               "val": "validation split is empty; best-epoch selection needs it",
+               "test": "test split is empty; nothing to evaluate"}
 # What no station or target id may hold: the CSV writers do not quote.
 UNQUOTABLE = re.compile(r'[,"\r\n]')
 
@@ -228,7 +231,8 @@ class LongFormat:
         ``values`` is (T, S, K) with NaN where no row gave a value, and
         ``codes`` the (T, S, K) int8 index of each cell's tag. ``cells``
         lists the allowed (station_id, target_id) pairs; ``None`` takes the
-        file's own pairs, and then every hour and cell must have a value.
+        file's own pairs, whose ids must pass the station table's ``UNQUOTABLE``
+        rule, and then every hour and cell must have a value.
         Stations and targets keep their order of first appearance.
 
         Row rule: a timestamp is parsed once per distinct text and must be
@@ -261,6 +265,9 @@ class LongFormat:
             j = column.get((sid, tid))
             if j is None:
                 if dense:
+                    if UNQUOTABLE.search(sid + tid):
+                        raise ValidationError(f"line {line}: ids {sid!r}, {tid!r} must not hold "
+                                              "a comma, a double quote or a line break")
                     j = column[sid, tid] = len(column)
                 elif any(sid == known for known, _ in column):
                     raise ValidationError(
@@ -455,7 +462,10 @@ class WindowedDataset:
         return self.inputs.shape[0]
 
     def part(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The split's (inputs, targets); a split with no window is a ValidationError."""
         lo, hi = self.bounds(name)
+        if hi <= lo:
+            raise ValidationError(EMPTY_SPLIT[name])
         return self.inputs[lo:hi], self.targets[lo:hi]
 
     def series(self, name: str) -> np.ndarray:
@@ -465,13 +475,11 @@ class WindowedDataset:
         return self.rows[lo:hi + self.history_steps - 1]
 
     def bounds(self, name: str) -> tuple[int, int]:
-        if name == "train":
-            return 0, self.n_train
-        if name == "val":
-            return self.n_train, self.n_train + self.n_val
-        if name == "test":
-            return self.n_train + self.n_val, self.n_total
-        raise ValueError(f"unknown split {name!r}")
+        cuts = {"train": (0, self.n_train), "val": (self.n_train, self.n_train + self.n_val),
+                "test": (self.n_train + self.n_val, self.n_total)}
+        if name not in cuts:
+            raise ValueError(f"unknown split {name!r}")
+        return cuts[name]
 
 
 def check_split(split: tuple[float, float, float]) -> None:
@@ -489,8 +497,9 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
     target at rows [i+P, i+P+Q) as supervision; with T rows there are
     T - P - Q + 1 windows. ``values`` is (T, S, K) for the S ``station_ids``
     and K ``target_ids``, complete as a fused panel is; another shape or a
-    missing cell is a ValidationError. The dataset keeps a read-only copy of
-    ``values`` as ``rows``, and its inputs are a view of them.
+    missing cell, or fewer than P + Q rows, is a ValidationError; an empty split is
+    refused by ``part``. The dataset keeps a read-only copy of ``values`` as
+    ``rows``, and its inputs are a view of them.
     """
     p, q = history_steps, horizon_steps
     if p < 1 or q < 1:
@@ -504,7 +513,7 @@ def make_windows(values: np.ndarray, station_ids: list[str], target_ids: list[st
     t_total = values.shape[0]
     if t_total < p + q:
         raise ValidationError(
-            f"need at least history+horizon={p + q} rows, panel has {t_total}")
+            f"panel has {t_total} rows; too short for history {p} + horizon {q}")
 
     rows = np.array(values, dtype=np.float64)
     rows.flags.writeable = False

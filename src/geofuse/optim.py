@@ -19,8 +19,8 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     def __init__(self, params: list[Tensor], lr: float = 0.001):
-        if lr <= 0:
-            raise ConfigError(f"adam: lr must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"adam: lr must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.t = 0

@@ -476,20 +476,15 @@ def train(model: StgcnModel, dataset: WindowedDataset, op: GraphOperator,
     the normalized scale after every epoch, by ``predict_series`` on the
     validation rows, at most ``_PREDICT_BATCH`` windows per forward; the parameters
     of the best validation epoch are restored into the model before
-    returning. Freed pages stay in the process, up to 64 MiB (see
-    ``_keep_freed_pages``).
+    returning; ``WindowedDataset.part`` refuses an empty training or validation
+    split. Freed pages stay in the process, up to 64 MiB (``_keep_freed_pages``).
     """
     config = config or TrainConfig()
     config.validate()
     _keep_freed_pages()
-    _, train_y = dataset.part("train")
-    _, val_y = dataset.part("val")
-    if train_y.shape[0] == 0:
-        raise TrainingError("training split is empty")
-    if val_y.shape[0] == 0:
-        raise TrainingError("validation split is empty; best-epoch selection needs it")
+    # The next hour's targets: (N, S, 1) of the training windows, (N, S) of the validation's.
+    train_y, val_y = dataset.part("train")[1][:, 0], dataset.part("val")[1][:, 0, :, 0]
     train_rows, val_rows = dataset.series("train"), dataset.series("val")
-    train_y, val_y = train_y[:, 0], val_y[:, 0, :, 0]  # the next hour: (N, S, 1), (N, S)
 
     model._basis(op)                        # rejects a mismatched operator up front
     params = model.parameters()
@@ -684,11 +679,10 @@ def load_model(path) -> tuple[StgcnModel, dict]:
         if not (np.isfinite(span) & (span >= 0)).all():
             raise ConfigError("normalization: each maxs - mins must be finite and >= 0")
         meta["normalization"] = {"mins": mins, "maxs": maxs}
-        config = replace(meta["config"].model, n_nodes=len(meta["station_ids"]), in_channels=n)
-        config.validate()   # the parse sized one node; size the model before allocating it
+        model = StgcnModel(replace(meta["config"].model, n_nodes=len(meta["station_ids"]),
+                                   in_channels=n), seed=0)  # sized before a weight is drawn
     except (KeyError, TypeError, ConfigError) as exc:
         raise ParseError(f"checkpoint {path}: bad or missing metadata: {exc}") from exc
-    model = StgcnModel(config, seed=0)
     params = model.parameters()
     if set(params) != set(blocks):
         missing = set(params) ^ set(blocks)

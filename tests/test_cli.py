@@ -384,6 +384,16 @@ def test_training_errors_exit_6(pipeline, tmp_path, capsys):
     assert "training split is empty" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # checked before anything is written
 
+    no_val = tmp_path / "no_val.cfg"
+    no_val.write_text(CONFIG + "split = 1, 0, 0\n")
+    code = main(["run-all", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--config", str(no_val), "--out-dir", str(tmp_path / "run")])
+    assert code == 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "validation split is empty" in err[0], err
+    assert not (tmp_path / "run").exists()
+
 
 def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):
     # A nine-hour panel yields two windows: train and val eat both, test empty.
@@ -401,6 +411,16 @@ def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 7
     assert "test split is empty" in capsys.readouterr().err
+    # run-all refuses an empty test split before it writes or trains anything.
+    no_test = tmp_path / "no_test.cfg"
+    no_test.write_text(CONFIG + "split = 0.5, 0.5, 0\n")
+    code = main(["run-all", "--stations", str(pipeline["stations"]),
+                 "--observations", str(pipeline["observations"]),
+                 "--config", str(no_test), "--out-dir", str(tmp_path / "run")])
+    assert code == 7
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "test split is empty" in err[0], err
+    assert not (tmp_path / "run").exists()
 
     code = main(["predict", "--fused", str(pipeline["fused"]),
                  "--adjacency", str(pipeline["adjacency"]),
@@ -422,6 +442,20 @@ def test_evaluation_errors_exit_7(pipeline, tmp_path, capsys):
     assert code == 7
     assert "fused panel has 4 rows, model needs 6" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_each_command_asks_only_for_the_splits_it_uses(pipeline, tmp_path):
+    # Ten hours at P = 6, Q = 2 are three windows: two train, no validation, one test.
+    code = main(["evaluate", "--fused", str(_first_hours(pipeline, tmp_path / "10h.csv", 10)),
+                 "--adjacency", str(pipeline["adjacency"]),
+                 "--model", str(pipeline["model"]), "--out-dir", str(tmp_path / "eval")])
+    assert code == 0
+    no_test = tmp_path / "no_test.cfg"
+    no_test.write_text(CONFIG + "split = 0.8, 0.2, 0\n")
+    code = main(["train", "--fused", str(pipeline["fused"]),
+                 "--adjacency", str(pipeline["adjacency"]),
+                 "--config", str(no_test), "--out-dir", str(tmp_path / "model")])
+    assert code == 0
 
 
 def test_first_order_mode_runs_end_to_end(pipeline, tmp_path):

@@ -20,8 +20,9 @@ value in one key of its other metadata, and one parameter block replaced,
 reshaped, retyped, dropped or added each end in 0, 3 or 7; and
 observations with a century between two rows exit 3 before the hourly
 grid is allocated. A station id that the unquoted artifacts cannot carry
-exits 3 quietly, and a target that reads one constant value everywhere is
-reported, not refused.
+exits 3 quietly, whether stations.csv holds it (fuse, graph) or fused.csv
+and adjacency.csv do (train, predict, evaluate), and a target that reads
+one constant value everywhere is reported, not refused.
 """
 
 import contextlib
@@ -269,6 +270,39 @@ def test_unquotable_station_id_exits_3_quietly(scenario, tmp_path, sid):
         assert len(lines) == 1 and lines[0].startswith(
             f"geofuse {command}: station {sid!r}: "), lines
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stations.csv"], command
+
+
+@pytest.mark.parametrize("sid", ["s,01", '"s01', "s\n01"])
+def test_unquotable_fused_station_id_exits_3_quietly(scenario, tmp_path, sid):
+    """The same ids, quoted into fused.csv and adjacency.csv instead of stations.csv."""
+    root, paths = scenario
+    old = paths["fused.csv"].read_text().splitlines()[1].split(",")[1]
+    inputs = {}
+    for name in ("fused.csv", "adjacency.csv"):
+        with open(paths[name], newline="") as fh:
+            rows = [[sid if field == old else field for field in row] for row in csv.reader(fh)]
+        inputs[name] = tmp_path / name
+        with open(inputs[name], "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    common = ["--fused", str(inputs["fused.csv"]), "--adjacency", str(inputs["adjacency.csv"])]
+    model = ["--model", str(root / "model" / "model.ckpt")]
+    runs = {
+        "train": common + ["--config", str(root / "run.cfg"), "--out-dir", str(tmp_path / "m")],
+        "predict": common + model + ["--out", str(tmp_path / "forecast.csv")],
+        "evaluate": common + model + ["--out-dir", str(tmp_path / "eval")],
+    }
+    for command, args in runs.items():
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command] + args)
+        assert code == 3, (command, err.getvalue())
+        assert [str(w.message) for w in caught] == [], command
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"geofuse {command}: line ") \
+            and repr(sid) in lines[0], lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adjacency.csv", "fused.csv"]
 
 
 @pytest.mark.parametrize("value", ["0.000000", "1.0"])

@@ -404,7 +404,7 @@ def test_make_windows_errors():
     values = np.zeros((4, 1, 1))
     with pytest.raises(ValidationError, match="history"):
         make_windows(values, ["s"], ["t"], 0, 1, "t")
-    with pytest.raises(ValidationError, match="rows"):
+    with pytest.raises(ValidationError, match="4 rows; too short for history 3 . horizon 2"):
         make_windows(values, ["s"], ["t"], 3, 2, "t")
     with pytest.raises(ValidationError, match="predicted target"):
         make_windows(np.zeros((9, 1, 1)), ["s"], ["t"], 3, 2, "x")
@@ -417,3 +417,14 @@ def test_make_windows_errors():
         make_windows(np.zeros((9, 1, 1)), ["s"], ["t", "u"], 3, 2, "t")
     with pytest.raises(ValidationError, match="2 stations and 1 targets"):
         make_windows(np.zeros((9, 1, 1)), ["s", "r"], ["t"], 3, 2, "t")
+    # An empty split is cut, and refused when a caller asks for it.
+    for split, name, sentence in [((0, 0.5, 0.5), "train", "training split is empty"),
+                                  ((0.5, 0, 0.5), "val", "validation split is empty; "
+                                                         "best-epoch selection needs it"),
+                                  ((0.5, 0.5, 0), "test", "test split is empty; "
+                                                          "nothing to evaluate")]:
+        ds = make_windows(np.zeros((9, 1, 1)), ["s"], ["t"], 3, 2, "t", split=split)
+        with pytest.raises(ValidationError, match=f"^{sentence}$"):
+            ds.part(name)
+        assert all(len(ds.part(other)[0]) for other in ("train", "val", "test")
+                   if other != name)

@@ -65,8 +65,9 @@ def test_adam_with_tape_fits_linear_map():
 
 def test_config_validation():
     p = gt.Tensor([0.0], requires_grad=True)
-    with pytest.raises(ConfigError):
-        Adam([p], lr=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            Adam([p], lr=lr)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -444,7 +444,7 @@ def test_train_config_errors():
         train(model, ds, cheb, TrainConfig(epochs=0))
     tiny = _smooth_dataset(t_total=10)
     tiny.n_val = 0  # force an empty validation split
-    with pytest.raises(TrainingError, match="validation"):
+    with pytest.raises(ValidationError, match="validation split is empty"):
         train(model, tiny, cheb, TrainConfig(epochs=1))
     lo, hi = ds.bounds("val")
     ds.targets[lo:hi] = np.nan  # every validation loss is NaN: no best epoch

@@ -87,10 +87,10 @@ def _code_for(exc: GeofuseError, default: int) -> int:
 
 @contextmanager
 def _phase(default_code: int):
-    """Tag a pipeline or floating-point error with its exit code; the innermost phase wins."""
+    """Tag a pipeline, floating-point or memory error with its exit code; innermost wins."""
     try:
         yield
-    except (GeofuseError, FloatingPointError) as exc:
+    except (GeofuseError, FloatingPointError, MemoryError) as exc:
         if not hasattr(exc, "exit_code"):
             exc.exit_code = _code_for(exc, default_code)
         raise
@@ -161,17 +161,6 @@ def _prepare_dataset(fused: FusionMatrix, config: PipelineConfig):
         n_train = round(config.split[0] * (fused.values.shape[0] - p - q + 1))
         train_rows = min(fused.values.shape[0], n_train - 1 + p + q)
         norm = fit_normalization(fused.values, fused.target_ids, train_rows)
-        # Refuse a target whose scale one outlier stretches until the rest round away.
-        train = fused.values[:train_rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = apply_normalization(train, norm)
-            for k, tid in enumerate(fused.target_ids):
-                v = train[..., k]
-                err = np.abs(invert_normalization(scaled[..., k], norm, tid) - v)
-                if (np.isfinite(v) & ~(err <= 1e-6 * (1.0 + np.abs(v)))).any():
-                    raise TrainingError(
-                        f"target {tid!r} spans {norm.mins[k]:.6g} to {norm.maxs[k]:.6g} in "
-                        "the training rows; min-max scaling cannot keep its other readings")
         dataset = _windows(fused, norm, config)
         dataset.part("train"), dataset.part("val")
         return dataset, norm
@@ -481,7 +470,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeofuseError, OSError, FloatingPointError) as exc:
+    except (GeofuseError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"geofuse {args.command}: {exc}", file=sys.stderr)
         # An error that escaped every phase came from writing an output.
         return getattr(exc, "exit_code", _code_for(exc, EXIT_OUTPUT))

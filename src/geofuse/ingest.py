@@ -402,19 +402,30 @@ class NormalizationParams:
 
 def fit_normalization(values: np.ndarray, target_ids: list[str],
                       train_rows: int) -> NormalizationParams:
-    """Fit per-target min/max on rows [0, train_rows), ignoring NaN."""
+    """Fit per-target min/max on rows [0, train_rows), ignoring NaN; refuse a target
+    whose scale one outlier stretches until its other readings round away."""
     if not 1 <= train_rows <= values.shape[0]:
         raise ValidationError(
             f"train_rows must be in [1, {values.shape[0]}], got {train_rows}")
     # One contiguous row per target: reducing it is several times faster than
     # reducing over the leading axes of (T, S, K), where K is the inner axis.
-    cols = np.moveaxis(values[:train_rows], -1, 0).copy().reshape(values.shape[-1], -1)
+    v = values[:train_rows]
+    cols = np.moveaxis(v, -1, 0).copy().reshape(values.shape[-1], -1)
     empty = np.isnan(cols).all(axis=1)
     if empty.any():
         raise ValidationError(
             f"target {target_ids[empty.argmax()]!r} has no data in the training rows")
-    return NormalizationParams(list(target_ids), np.nanmin(cols, axis=1),
+    norm = NormalizationParams(list(target_ids), np.nanmin(cols, axis=1),
                                np.nanmax(cols, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # scale, then invert_normalization
+        err = np.abs(apply_normalization(v, norm) * (norm.maxs - norm.mins) + norm.mins - v)
+        lost = np.isfinite(v) & ~(err <= 1e-6 * (1.0 + np.abs(v)))
+    if lost.any():
+        k = lost.reshape(-1, v.shape[-1]).any(axis=0).argmax()
+        raise ValidationError(
+            f"target {target_ids[k]!r} spans {norm.mins[k]:.6g} to {norm.maxs[k]:.6g} in "
+            "the training rows; min-max scaling cannot keep its other readings")
+    return norm
 
 
 def apply_normalization(values: np.ndarray, params: NormalizationParams) -> np.ndarray:

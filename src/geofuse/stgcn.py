@@ -170,7 +170,7 @@ class TemporalGatedConv:
     """
 
     def __init__(self, f: int, c_in: int, c_out: int, rng: np.random.Generator):
-        self.f, self.c_in, self.c_out = f, c_in, c_out
+        self.f = f
         kernel = np.stack([_glorot(rng, (c_in, 2 * c_out), c_in, 2 * c_out)
                            for _ in range(f)])
         self.kernel = Tensor(kernel, requires_grad=True)
@@ -185,10 +185,6 @@ class TemporalGatedConv:
         lin, gate = tz.gated_conv_halves(x, self.kernel.data, self.bias_lin.data,
                                          self.bias_gate.data)
         return lin * gate
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"kernel": self.kernel, "bias_lin": self.bias_lin,
-                "bias_gate": self.bias_gate}
 
 
 class GraphConv:
@@ -219,13 +215,6 @@ class GraphConv:
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
         return tz.graph_conv(x, basis, self.kernel)
 
-    def values(self, x: np.ndarray, operands: tuple[np.ndarray, ...]) -> np.ndarray:
-        """``forward``'s values on a plain array, recording nothing."""
-        return tz.graph_conv_values(x, *operands)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"kernel": self.kernel}
-
 
 class STConvBlock:
     """Temporal -> graph -> ReLU -> temporal. Time shrinks by 2 (f - 1)."""
@@ -242,22 +231,13 @@ class STConvBlock:
         operands = tz.graph_conv_operands(basis, graph.kernel.data)
         return [(t_in.f - 1, t_in.forward, t_in.values),
                 (0, lambda h: tz.relu(graph.forward(h, basis)),
-                 lambda h: tz.relu_values(graph.values(h, operands))),
+                 lambda h: tz.relu_values(tz.graph_conv_values(h, *operands))),
                 (t_out.f - 1, t_out.forward, t_out.values)]
 
     def forward(self, x: Tensor, basis: np.ndarray) -> Tensor:
         for _, layer, _ in self.stages(basis):
             x = layer(x)
         return x
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, layer in (("temporal_in", self.temporal_in),
-                              ("graph", self.graph),
-                              ("temporal_out", self.temporal_out)):
-            for name, p in layer.parameters().items():
-                out[f"{prefix}.{name}"] = p
-        return out
 
 
 class StgcnModel:
@@ -273,15 +253,16 @@ class StgcnModel:
         self.fc_bias = Tensor(np.zeros(1), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, block in (("block1", self.block1), ("block2", self.block2)):
-            for name, p in block.parameters().items():
-                out[f"{prefix}.{name}"] = p
-        for name, p in self.head_temporal.parameters().items():
-            out[f"head.temporal.{name}"] = p
-        out["head.fc.weight"] = self.fc_weight
-        out["head.fc.bias"] = self.fc_bias
-        return out
+        """Every weight by its model.ckpt name, in file order: the one place both are set."""
+        gated = ("kernel", "bias_lin", "bias_gate")
+        layers = [(f"block{i}.{part}", getattr(block, part), names)
+                  for i, block in ((1, self.block1), (2, self.block2))
+                  for part, names in (("temporal_in", gated), ("graph", ("kernel",)),
+                                      ("temporal_out", gated))]
+        layers.append(("head.temporal", self.head_temporal, gated))
+        out = {f"{path}.{name}": getattr(layer, name)
+               for path, layer, names in layers for name in names}
+        return out | {"head.fc.weight": self.fc_weight, "head.fc.bias": self.fc_bias}
 
     def _check_shape(self, shape: tuple[int, ...], rows: bool = False) -> None:
         """Reject anything but (B, P, S, K) windows, or with ``rows`` (B, T >= P,
@@ -684,8 +665,7 @@ def load_model(path) -> tuple[StgcnModel, dict]:
     except (KeyError, TypeError, ConfigError) as exc:
         raise ParseError(f"checkpoint {path}: bad or missing metadata: {exc}") from exc
     params = model.parameters()
-    if set(params) != set(blocks):
-        missing = set(params) ^ set(blocks)
+    if missing := set(params) ^ set(blocks):
         raise ValidationError(f"checkpoint parameter names do not match model: {missing}")
     for name, p in params.items():
         if blocks[name].shape != p.data.shape:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from decimal import Decimal
 
 import numpy as np
 
 from .errors import ConfigError
 from .ingest import HOUR, OBSERVATIONS, ObservationPanel, Station, write_stations
+from .stgcn import _physical_memory
 
 _BUMPS = 3
 AR_RHO = 0.9                    # lag-1 correlation of the AR(1) modulation
@@ -53,14 +55,20 @@ class SynthConfig:
             raise ConfigError("every source needs at least one target")
         if self.hours < 1:
             raise ConfigError(f"hours must be >= 1, got {self.hours}")
+        # The float64 panel alone; ModelConfig refuses a model by the same rule.
+        need = 8 * self.hours * sum(self.stations_per_source) * self.n_targets
+        if (memory := _physical_memory()) is not None and need > memory:
+            raise ConfigError(
+                f"the {self.hours}-hour panel needs {Decimal(need) / 2**30:.3g} GiB, more "
+                f"than the {memory / 2**30:.3g} GiB of physical memory")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise < np.inf:
             raise ConfigError(f"noise must be >= 0 and finite, got {self.noise}")
         if not 0.0 <= self.gap_rate < 1.0:
             raise ConfigError(f"gap_rate must be in [0, 1), got {self.gap_rate}")
-        if self.max_gap_len < 1:
-            raise ConfigError(f"max_gap_len must be >= 1, got {self.max_gap_len}")
+        if not 1 <= self.max_gap_len < 2**63:  # the int64 draw of a gap's length
+            raise ConfigError(f"max_gap_len must be in [1, 2**63), got {self.max_gap_len}")
         if not 0.0 <= self.coupling <= 1.0:
             raise ConfigError(f"coupling must be in [0, 1], got {self.coupling}")
         if not self.ar_strength >= 0:

@@ -207,7 +207,7 @@ def test_bad_config_value_exits_2_before_any_stage(pipeline, tmp_path, setting):
     assert not out.exists()
 
 
-def test_bad_flag_values_exit_2(pipeline, tmp_path):
+def test_bad_flag_values_exit_2(pipeline, tmp_path, capsys):
     for value in ("-1", "nan"):
         shape = tmp_path / f"shape_{value}.cfg"
         shape.write_text(f"shape_c = {value}\n")
@@ -220,9 +220,14 @@ def test_bad_flag_values_exit_2(pipeline, tmp_path):
     code = main(["graph", "--stations", str(pipeline["stations"]),
                  "--out", str(tmp_path / "adj.csv"), "--config", str(manhattan)])
     assert code == 2
-    for flags in (["--seed", "-1"], ["--noise", "nan"]):
+    capsys.readouterr()
+    for flags in (["--seed", "-1"], ["--noise", "nan"], ["--hours", "1000000000000"],
+                  ["--hours", "100000000000000000000000000000"],
+                  ["--max-gap-len", "100000000000000000000", "--gap-rate", "0.1",
+                   "--hours", "20"]):
         code = main(["synth", "--out-dir", str(tmp_path / "synth"), *flags])
         assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1, flags
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "manhattan.cfg", "shape_-1.cfg", "shape_nan.cfg"]
 
@@ -335,6 +340,26 @@ def test_fusion_errors_exit_4(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "t2" in err and "no available source" in err
+
+
+@pytest.mark.parametrize("stage, command, code", [
+    ("load_observations", "fuse", 3), ("fuse_panel", "fuse", 4),
+    ("build_adjacency", "graph", 5), ("write_fused_csv", "fuse", 1)])
+def test_out_of_memory_exits_with_its_phase_code(pipeline, tmp_path, capsys, monkeypatch,
+                                                 stage, command, code):
+    """A MemoryError ends like a pipeline error: one line and its phase's code."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 41.5 GiB for an array with shape "
+                          "(61211713, 13, 7) and data type float64")
+
+    monkeypatch.setattr(f"geofuse.cli.{stage}", refuse)
+    inputs = {"fuse": ["--observations", str(pipeline["observations"])], "graph": []}
+    assert main([command, "--stations", str(pipeline["stations"]), *inputs[command],
+                 "--out", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"geofuse {command}: Unable to allocate 41.5 GiB for an array with "
+                   "shape (61211713, 13, 7) and data type float64"], err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_unwritable_output_exits_1(pipeline, tmp_path, capsys):

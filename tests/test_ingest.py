@@ -297,6 +297,22 @@ def test_normalization_nan_passthrough_and_errors():
         invert_normalization(np.zeros(2), params, "missing")
 
 
+def test_normalization_refuses_a_scale_that_erases_the_other_readings():
+    """One -1e300 reading leaves (v - min) / span * span + min of the others far
+    from v; the first such target is named with its span."""
+    values = np.tile(np.array([1.0, 2.0, 3.0]), (8, 2, 1))
+    values[:, 1, 1] += np.arange(8)
+    values[5, 0, 1], values[6, 1, 2] = -1e300, -1e300
+    with pytest.raises(ValidationError, match=(
+            r"^target 'b' spans -1e\+300 to 9 in the training rows; "
+            "min-max scaling cannot keep its other readings$")):
+        fit_normalization(values, ["a", "b", "c"], train_rows=8)
+    # Outside the fitted rows, and with NaN beside ordinary readings, nothing is lost.
+    assert fit_normalization(values, ["a", "b", "c"], train_rows=5).maxs[1] == 6.0
+    values[:5, 0, 0] = np.nan
+    fit_normalization(values[:5] * 1e150, ["a", "b", "c"], train_rows=5)
+
+
 def _normalization_loop(values, train_rows):
     """Reference: each target's bounds and scaling, one channel at a time."""
     head = values[:train_rows]

@@ -676,6 +676,40 @@ def test_model_checkpoint_roundtrip(tmp_path):
         assert loaded.parameters()[name].data.tobytes() == p.data.tobytes()
 
 
+CHECKPOINT_NAMES = [
+    "block1.temporal_in.kernel", "block1.temporal_in.bias_lin",
+    "block1.temporal_in.bias_gate", "block1.graph.kernel",
+    "block1.temporal_out.kernel", "block1.temporal_out.bias_lin",
+    "block1.temporal_out.bias_gate",
+    "block2.temporal_in.kernel", "block2.temporal_in.bias_lin",
+    "block2.temporal_in.bias_gate", "block2.graph.kernel",
+    "block2.temporal_out.kernel", "block2.temporal_out.bias_lin",
+    "block2.temporal_out.bias_gate",
+    "head.temporal.kernel", "head.temporal.bias_lin", "head.temporal.bias_gate",
+    "head.fc.weight", "head.fc.bias",
+]
+
+
+@pytest.mark.parametrize("mode, order", [("chebyshev", 2), ("first_order", 1)])
+def test_parameters_are_the_checkpoint_names_in_order(tmp_path, mode, order):
+    """``np.savez`` writes model.ckpt's entries in ``parameters()`` order."""
+    model = StgcnModel(tiny_config(graph_mode=mode, graph_kernel=order), seed=29)
+    params = model.parameters()
+    assert list(params) == CHECKPOINT_NAMES
+    layers = [model.block1.temporal_in, model.block1.graph, model.block1.temporal_out,
+              model.block2.temporal_in, model.block2.graph, model.block2.temporal_out,
+              model.head_temporal]
+    tensors = [t for layer in layers
+               for t in ([layer.kernel] if isinstance(layer, GraphConv)
+                         else [layer.kernel, layer.bias_lin, layer.bias_gate])]
+    assert all(a is b for a, b in zip(params.values(),
+                                      tensors + [model.fc_weight, model.fc_bias], strict=True))
+    path = tmp_path / "model.ckpt"
+    save_model(path, model, *_run_record(tiny_config(graph_mode=mode, graph_kernel=order)))
+    with np.load(path) as archive:
+        assert archive.files == CHECKPOINT_NAMES + ["__meta__"]
+
+
 def test_load_model_rejects_mismatched_blocks(tmp_path):
     from geofuse.checkpoint import load_checkpoint, save_checkpoint
     path = tmp_path / "broken.ckpt"

@@ -131,3 +131,9 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="station"):
         generate(SynthConfig(stations_per_source=(0, 2),
                              targets_per_source=(1, 1)))
+    with pytest.raises(ConfigError, match="physical memory"):
+        generate(SynthConfig(hours=10**30))
+    with pytest.raises(ConfigError, match="max_gap_len"):
+        generate(SynthConfig(max_gap_len=2**63, gap_rate=0.1, hours=20))
+    # The longest gap the int64 draw takes still generates.
+    assert generate(SynthConfig(max_gap_len=2**63 - 1, gap_rate=0.1, hours=20)).panel
